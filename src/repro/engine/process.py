@@ -22,7 +22,10 @@ artifact                     producer
 ===========================  ====================================================
 
 Handles are cheap to create; all caches fill on first use.  A handle is tied
-to one immutable FSP, so cached artifacts never go stale.
+to one immutable FSP, so cached artifacts never go stale.  Backends default to
+``"auto"``, like the engine and the notions, and are resolved before the cache
+lookup, so an auto-dispatched call and an explicit call to the backend it picks
+share one cache slot.
 """
 
 from __future__ import annotations
@@ -45,21 +48,6 @@ from repro.partition.partition import Partition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.automata.dfa import DFA
-
-
-def _solver(method: Solver | str) -> Solver:
-    return method if isinstance(method, Solver) else Solver(method)
-
-
-def _backend(backend: str, num_states: int) -> str:
-    """Resolve (and validate) a backend name against this process's size.
-
-    Resolving ``"auto"`` *before* the cache lookup means an auto-dispatched
-    call and an explicit call to the backend it picked share one cache slot
-    -- the artifacts are identical, caching them twice would halve the
-    effective bound.
-    """
-    return resolve_backend(backend, num_states)
 
 
 class Process:
@@ -140,7 +128,7 @@ class Process:
             self._weak_view = WeakTransitionView(self.fsp, kernel=self.weak_kernel())
         return self._weak_view
 
-    def saturated_lts(self, backend: str = "python") -> LTS:
+    def saturated_lts(self, backend: str = "auto") -> LTS:
         """The saturated kernel ``P_hat`` of Theorem 4.1(a) (cached per backend).
 
         Both backends produce byte-identical CSR arrays; they are cached
@@ -148,7 +136,7 @@ class Process:
         artifact the Python oracle produced (and vice versa) when the two are
         being cross-checked against each other.
         """
-        backend = _backend(backend, self.fsp.num_states)
+        backend = resolve_backend(backend, self.fsp.num_states)
         saturated = self._saturated_lts.get(backend)
         if saturated is None:
             saturated = saturate_lts(self.lts(), backend=backend)
@@ -156,11 +144,11 @@ class Process:
         return saturated
 
     def strong_partition(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "auto"
     ) -> Partition:
         """The strong-equivalence partition (cached per solver and backend)."""
-        method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
+        method = Solver(method)
+        backend = resolve_backend(backend, self.fsp.num_states)
         key = (method, backend)
         partition = self._strong_partitions.get(key)
         if partition is None:
@@ -170,11 +158,11 @@ class Process:
         return partition
 
     def observational_partition(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "auto"
     ) -> Partition:
         """The observational-equivalence partition (cached per solver and backend)."""
-        method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
+        method = Solver(method)
+        backend = resolve_backend(backend, self.fsp.num_states)
         key = (method, backend)
         partition = self._observational_partitions.get(key)
         if partition is None:
@@ -184,11 +172,11 @@ class Process:
         return partition
 
     def minimized_strong(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "auto"
     ) -> FSP:
         """The quotient by strong equivalence (cached per solver and backend)."""
-        method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
+        method = Solver(method)
+        backend = resolve_backend(backend, self.fsp.num_states)
         key = (method, backend)
         minimal = self._minimized_strong.get(key)
         if minimal is None:
@@ -197,11 +185,11 @@ class Process:
         return minimal
 
     def minimized_observational(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "auto"
     ) -> FSP:
         """The quotient by observational equivalence (cached per solver and backend)."""
-        method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
+        method = Solver(method)
+        backend = resolve_backend(backend, self.fsp.num_states)
         key = (method, backend)
         minimal = self._minimized_observational.get(key)
         if minimal is None:

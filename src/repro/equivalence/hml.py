@@ -17,7 +17,14 @@ extension atom ``ext(V)`` asserting that the state's extension set equals
 but not the second whenever they are distinguished by the chosen equivalence
 (strong or observational); it works level by level along the refinement chain,
 which guarantees termination and yields formulas of modal depth equal to the
-separation level.
+separation level.  The levels are the passes of the naive method of Lemma 3.2
+(:func:`repro.partition.naive.naive_passes`) on the integer kernel: the plain
+CSR :class:`~repro.core.lts.LTS` for strong equivalence (tau as a label), the
+saturated kernel ``P_hat`` of :func:`repro.core.weak.saturate_lts` for
+observational equivalence, where pass ``k`` is ``simeq_k`` (Definition
+2.2.2).  :func:`satisfies` checks formulas on the original FSP through
+:class:`~repro.core.derivatives.WeakTransitionView`, so the code that builds a
+witness and the code that checks it stay separate.
 """
 
 from __future__ import annotations
@@ -26,8 +33,12 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.core.derivatives import WeakTransitionView
-from repro.core.fsp import FSP, TAU
-from repro.partition.partition import Partition
+from repro.core.fsp import EPSILON, FSP
+from repro.core.lts import LTS
+from repro.core.weak import saturate_lts
+from repro.partition.naive import naive_passes
+from repro.partition.partition import PartitionError
+from repro.partition.refinable import RefinablePartition
 
 
 # ----------------------------------------------------------------------
@@ -156,127 +167,67 @@ def distinguishing_formula(fsp: FSP, first: str, second: str, weak: bool = False
     equivalence (weak diamonds).  Returns None when the states are equivalent
     in the chosen sense, in which case no HML formula can separate them.
     """
-    levels = _refinement_levels(fsp, weak=weak)
-    separation = None
-    for index, partition in enumerate(levels):
-        if not partition.same_block(first, second):
-            separation = index
-            break
-    if separation is None:
-        return None
-    formula = _distinguish_at_level(fsp, first, second, separation, levels, weak)
-    return formula
+    lts = LTS.from_fsp(fsp, include_tau=True)
+    if weak:
+        lts = saturate_lts(lts)
+    left, right = _state_index(lts, first), _state_index(lts, second)
+    block_of, num_blocks = lts.extension_block_ids()
+    passes = naive_passes(lts, RefinablePartition(block_of, num_blocks))
+    levels = [block_of]
+    while levels[-1][left] == levels[-1][right]:
+        level = next(passes, None)
+        if level is None:
+            return None
+        levels.append(level)
+    return _distinguish(lts, levels, left, right, weak)
 
 
-def _refinement_levels(fsp: FSP, weak: bool) -> list[Partition]:
-    """The chain of partitions ``simeq_0, simeq_1, ...`` until it stabilises.
+def _state_index(lts: LTS, name: str) -> int:
+    try:
+        return lts.state_names.index(name)
+    except ValueError:
+        raise PartitionError(f"{name!r} is not an element of this partition") from None
 
-    For the strong case the refinement uses single strong transitions (tau as
-    a label); for the weak case it uses single weak moves, i.e. the ``simeq_k``
-    chain of Definition 2.2.2.
+
+def _distinguish(lts: LTS, levels: list[list[int]], first: int, second: int, weak: bool) -> Formula:
+    """Build a formula separating the two states, of modal depth their separation level.
+
+    ``levels[k]`` is the block array of level ``k`` of the refinement chain
+    on ``lts`` (the saturated kernel when ``weak``), and the two states lie
+    in different blocks of the last level.  An arc of ``lts`` is one move of
+    the chosen equivalence; the epsilon arcs of the saturated kernel become
+    ``<<>>`` (``=>^epsilon``) modalities.
     """
-    view = WeakTransitionView(fsp) if weak else None
-    actions: list[str]
-    if weak:
-        actions = sorted(fsp.alphabet) + [""]
-    else:
-        actions = sorted(fsp.alphabet) + ([TAU] if fsp.has_tau() else [])
-
-    def successors(state: str, action: str) -> frozenset[str]:
-        if weak:
-            assert view is not None
-            return (
-                view.epsilon_closure(state)
-                if action == ""
-                else view.weak_successors(state, action)
-            )
-        return fsp.successors(state, action)
-
-    levels = [Partition.from_key(fsp.states, key=fsp.extension)]
-    while True:
-        current = levels[-1]
-        signatures = {}
-        for state in fsp.states:
-            signature = set()
-            for action in actions:
-                for target in successors(state, action):
-                    signature.add((action, current.block_id_of(target)))
-            signatures[state] = frozenset(signature)
-        next_partition = Partition(list(_split_groups(current, signatures)))
-        levels.append(next_partition)
-        if len(next_partition) == len(current):
-            return levels
-
-
-def _split_groups(partition: Partition, signatures: dict[str, frozenset]) -> list[set[str]]:
-    groups: list[set[str]] = []
-    for block in partition:
-        by_signature: dict[frozenset, set[str]] = {}
-        for state in block:
-            by_signature.setdefault(signatures[state], set()).add(state)
-        groups.extend(by_signature.values())
-    return groups
-
-
-def _distinguish_at_level(
-    fsp: FSP,
-    first: str,
-    second: str,
-    level: int,
-    levels: list[Partition],
-    weak: bool,
-) -> Formula:
-    """Build a formula of modal depth ``level`` separating the two states."""
+    level = next(k for k, blocks in enumerate(levels) if blocks[first] != blocks[second])
     if level == 0:
-        return ExtensionIs(fsp.extension(first))
+        return ExtensionIs(lts.ext_sets[first])
     previous = levels[level - 1]
-    view = WeakTransitionView(fsp) if weak else None
-    if weak:
-        actions = sorted(fsp.alphabet) + [""]
-    else:
-        actions = sorted(fsp.alphabet) + ([TAU] if fsp.has_tau() else [])
-
-    def successors(state: str, action: str) -> frozenset[str]:
-        if weak:
-            assert view is not None
-            return (
-                view.epsilon_closure(state)
-                if action == ""
-                else view.weak_successors(state, action)
-            )
-        return fsp.successors(state, action)
-
-    def diamond(action: str, operand: Formula) -> Formula:
-        return WeakDiamond(action, operand) if weak else Diamond(action, operand)
-
+    offsets, arc_actions, arc_targets = lts.fwd_offsets, lts.fwd_actions, lts.fwd_targets
     # Try to find a move of `first` that `second` cannot match up to the
     # previous level; if none exists the witness lies on `second`'s side and
     # the distinguishing formula is negated.
     for swap in (False, True):
         left, right = (second, first) if swap else (first, second)
-        for action in actions:
-            for target in successors(left, action):
-                mismatched = [
-                    candidate
-                    for candidate in successors(right, action)
-                    if previous.same_block(target, candidate)
-                ]
-                if mismatched:
-                    continue
-                conjuncts = []
-                for candidate in successors(right, action):
-                    sub_level = _separation_level(levels, target, candidate)
-                    sub = _distinguish_at_level(fsp, target, candidate, sub_level, levels, weak)
-                    conjuncts.append(sub)
-                formula: Formula = diamond(action, And(tuple(conjuncts)) if conjuncts else Tt())
-                return Not(formula) if swap else formula
-    # The two states are not separated at this level after all (should not
-    # happen when the caller picked the true separation level).
+        answers: dict[int, list[int]] = {}
+        for i in range(offsets[right], offsets[right + 1]):
+            answers.setdefault(arc_actions[i], []).append(arc_targets[i])
+        for i in range(offsets[left], offsets[left + 1]):
+            target = arc_targets[i]
+            candidates = answers.get(arc_actions[i], [])
+            if any(previous[target] == previous[candidate] for candidate in candidates):
+                continue
+            conjuncts = tuple(
+                _distinguish(lts, levels, target, candidate, weak) for candidate in candidates
+            )
+            operand: Formula = And(conjuncts) if conjuncts else Tt()
+            action = lts.action_names[arc_actions[i]]
+            formula: Formula = (
+                WeakDiamond("" if action == EPSILON else action, operand)
+                if weak
+                else Diamond(action, operand)
+            )
+            return Not(formula) if swap else formula
+    # Unreachable: states split by pass `level` have a move that the other
+    # cannot match up to the previous level.
     raise AssertionError("states are not distinguishable at the requested level")
 
-
-def _separation_level(levels: list[Partition], first: str, second: str) -> int:
-    for index, partition in enumerate(levels):
-        if not partition.same_block(first, second):
-            return index
-    raise AssertionError("states are equivalent; no separation level exists")

@@ -10,8 +10,11 @@ successively finer relations:
   PSPACE-complete (Theorem 4.1(b)).
 * ``simeq_k`` (*k-limited observational equivalence*, Definition 2.2.2)
   matches only single-action weak moves; its limit equals ``approx``
-  (Proposition 2.2.1(c)) and each level is computable by one round of
-  partition refinement on the saturated process.
+  (Proposition 2.2.1(c)) and each level is one pass of the naive method of
+  Lemma 3.2 (:func:`repro.partition.naive.naive_passes`) on the saturated
+  kernel ``P_hat``.  :func:`k_limited_partition` reads its levels from those
+  passes -- the same passes the HML witnesses of :mod:`repro.equivalence.hml`
+  are built along.
 
 ``approx_k`` is computed here through the characterisation used in the
 membership half of Theorem 4.1(b): with ``{B_i}`` the partition induced by
@@ -30,9 +33,13 @@ from __future__ import annotations
 
 from repro.automata.equivalence import nfa_equivalent
 from repro.core.derivatives import WeakTransitionView
-from repro.core.fsp import EPSILON, FSP
+from repro.core.fsp import FSP
+from repro.core.lts import LTS
+from repro.core.weak import saturate_lts
 from repro.equivalence.language import weak_language_nfa
+from repro.partition.naive import naive_passes
 from repro.partition.partition import Partition
+from repro.partition.refinable import RefinablePartition
 
 
 # ----------------------------------------------------------------------
@@ -41,25 +48,20 @@ from repro.partition.partition import Partition
 def k_limited_partition(fsp: FSP, k: int) -> Partition:
     """The partition induced by ``simeq_k`` (Definition 2.2.2).
 
-    ``k = 0`` groups states by extension set; each further level is one
-    refinement round against single-action weak moves.
+    ``k = 0`` groups states by extension set; each further level is one pass
+    of the naive method on the saturated kernel ``P_hat``.  Past the fixed
+    point every level equals the last one.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    view = WeakTransitionView(fsp)
-    actions = sorted(fsp.alphabet) + [EPSILON]
-    partition = Partition.from_key(fsp.states, key=fsp.extension)
+    lts = saturate_lts(LTS.from_fsp(fsp, include_tau=True))
+    block_of, num_blocks = lts.extension_block_ids()
+    passes = naive_passes(lts, RefinablePartition(block_of, num_blocks))
+    level = block_of
     for _ in range(k):
-        signatures: dict[str, frozenset[tuple[str, int]]] = {}
-        for state in fsp.states:
-            signature = set()
-            for action in actions:
-                for target in view.weak_successors(state, action):
-                    signature.add((action, partition.block_id_of(target)))
-            signatures[state] = frozenset(signature)
-        if not partition.split_by_key(lambda state: signatures[state]):
-            break  # reached the fixed point early: simeq_j = simeq for all j >= this level
-    return partition
+        level = next(passes, level)  # an exhausted chain stays at its fixed point
+    block_of_state = dict(zip(lts.state_names, level))
+    return Partition.from_key(block_of_state, key=block_of_state.__getitem__)
 
 
 def k_limited_equivalent(fsp: FSP, first: str, second: str, k: int) -> bool:

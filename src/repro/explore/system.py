@@ -47,7 +47,6 @@ from repro.explore.products import (
     LazyRestriction,
     LazySynchronousProduct,
 )
-from repro.partition import generalized as _generalized
 from repro.partition.generalized import Solver
 from repro.utils.serialization import from_dict, to_dict
 
@@ -214,32 +213,6 @@ def compose_eager(spec: SystemSpec | FSP) -> FSP:
     raise InvalidProcessError(f"not a system spec: {type(spec).__name__}")
 
 
-#: State count at or above which ``backend="auto"`` dispatches an intermediate
-#: quotient to the vectorized numpy kernel.  Below it the Python worklist
-#: solvers win on constant factors; above it the kernel's saturation and
-#: refinement amortise their array setup (the crossover sits near a few
-#: hundred states on the benchmark families).  The canonical value lives in
-#: :mod:`repro.partition.generalized` (the engine-wide ``"auto"`` dispatch
-#: uses it too); this module-level rebinding stays patchable independently.
-VECTOR_STATE_THRESHOLD = _generalized.VECTOR_STATE_THRESHOLD
-
-
-def _partition_backend(num_states: int, backend: str) -> str:
-    """Resolve the partition backend for one intermediate quotient.
-
-    ``"auto"`` picks ``"vector"`` when numpy is importable and the process
-    has at least :data:`VECTOR_STATE_THRESHOLD` states, else ``"python"``;
-    explicit backend names pass through unchanged.
-    """
-    if backend != "auto":
-        return backend
-    from repro.utils.matrices import HAVE_NUMPY
-
-    if HAVE_NUMPY and num_states >= VECTOR_STATE_THRESHOLD:
-        return "vector"
-    return "python"
-
-
 def minimize_compositionally(
     spec: SystemSpec | FSP,
     method: Solver | str = Solver.PAIGE_TARJAN,
@@ -257,17 +230,14 @@ def minimize_compositionally(
 
     ``backend`` selects the partition engine per intermediate quotient:
     ``"python"`` or ``"vector"`` force one engine everywhere, while the
-    default ``"auto"`` routes each quotient by state count -- intermediates
-    with at least :data:`VECTOR_STATE_THRESHOLD` states take the vectorized
-    kernel when numpy is available, small ones stay on the Python solvers.
+    default ``"auto"`` routes each quotient by state count through
+    :func:`~repro.partition.generalized.resolve_backend` -- intermediates with
+    at least ``VECTOR_STATE_THRESHOLD`` states take the vectorized kernel when
+    numpy is available, small ones stay on the Python solvers.
     """
 
     def shrink(process: FSP) -> FSP:
-        return minimize_observational(
-            process,
-            method=method,
-            backend=_partition_backend(process.num_states, backend),
-        )
+        return minimize_observational(process, method=method, backend=backend)
 
     def reduce(node: SystemSpec | FSP) -> FSP:
         if isinstance(node, (FSP, LeafSpec, TermSpec)):

@@ -10,10 +10,15 @@ total is the ``O(nm)`` bound of Lemma 3.2.
 The pass structure is unchanged from the paper; the implementation runs on
 the integer-indexed :class:`~repro.core.lts.LTS` kernel, so a signature is a
 frozenset of packed ``(action, block)`` integers read straight off the CSR
-arrays rather than a set of string tuples.
+arrays rather than a set of string tuples.  :func:`naive_passes` exposes the
+passes one at a time: on the saturated kernel ``P_hat`` pass ``k`` is level
+``k`` of the ``simeq_k`` chain of Definition 2.2.2, which
+:mod:`repro.equivalence.kobs` and :mod:`repro.equivalence.hml` read.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from repro.core.lts import LTS
 from repro.partition.generalized import GeneralizedPartitioningInstance
@@ -27,23 +32,29 @@ _ACTION_SHIFT = 40
 
 def naive_refine_lts(lts: LTS, block_of: list[int], num_blocks: int) -> RefinablePartition:
     """Run the naive method on the integer kernel; returns the refined partition."""
-    part, _passes = _refine_counting_passes(lts, block_of, num_blocks)
+    part = RefinablePartition(block_of, num_blocks)
+    for _level in naive_passes(lts, part):
+        pass
     return part
 
 
-def _refine_counting_passes(
-    lts: LTS, block_of: list[int], num_blocks: int
-) -> tuple[RefinablePartition, int]:
-    part = RefinablePartition(block_of, num_blocks)
+def naive_passes(lts: LTS, part: RefinablePartition) -> Iterator[list[int]]:
+    """Refine ``part`` in place one global pass at a time.
+
+    Each pass splits every block by the signatures taken at the start of the
+    pass, so it computes level ``k + 1`` of the refinement chain from level
+    ``k`` -- on the saturated kernel ``P_hat`` that is ``simeq_{k+1}`` from
+    ``simeq_k`` (Definition 2.2.2).  After every pass a copy of the block
+    array (element -> block id) is yielded; ``part`` as given is level 0.
+    The last pass changes nothing, so the last two levels coincide.
+    """
     n = lts.n
     offsets = lts.fwd_offsets
     arc_actions = lts.fwd_actions.tolist()
     arc_targets = lts.fwd_targets.tolist()
-    passes = 0
     changed = True
     empty = frozenset()
     while changed:
-        passes += 1
         changed = False
         blk = part.blk
         # Signature of an element: for every function, the set of blocks its
@@ -75,7 +86,7 @@ def _refine_counting_passes(
                 for s in bucket:
                     part.mark(s)
                 part.split_marked(b)
-    return part, passes
+        yield list(part.blk)
 
 
 def naive_refine(instance: GeneralizedPartitioningInstance) -> Partition:
@@ -96,5 +107,4 @@ def naive_refinement_passes(instance: GeneralizedPartitioningInstance) -> int:
     algorithms.
     """
     lts, block_of, num_blocks = instance.kernel
-    _part, passes = _refine_counting_passes(lts, block_of, num_blocks)
-    return passes
+    return sum(1 for _level in naive_passes(lts, RefinablePartition(block_of, num_blocks)))

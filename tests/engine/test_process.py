@@ -6,10 +6,11 @@ import pytest
 
 from repro.core.fsp import from_transitions
 from repro.core.paper_figures import fig2_language_pair
-from repro.engine import Process
+from repro.engine import Engine, Process
 from repro.equivalence.minimize import minimize_observational, minimize_strong
 from repro.equivalence.observational import observational_partition
 from repro.equivalence.strong import strong_bisimulation_partition
+from repro.partition import generalized
 from repro.partition.generalized import Solver
 from repro.utils import serialization
 
@@ -63,6 +64,18 @@ class TestArtifactCaching:
         assert handle.strong_partition("paige-tarjan") is handle.strong_partition(
             Solver.PAIGE_TARJAN
         )
+
+    def test_notions_share_one_observational_quotient(self, bloated, monkeypatch):
+        # With the threshold below the process size the notions' "auto"
+        # resolves to the vector backend; the handle's own defaults must land
+        # in the same cache slot instead of computing the quotient again.
+        monkeypatch.setattr(generalized, "VECTOR_STATE_THRESHOLD", 2)
+        engine = Engine()
+        handle = engine.process(bloated)
+        other = from_transitions([("q", "a", "r"), ("r", "b", "q")], start="q", all_accepting=True)
+        engine.check(handle, other, "observational")
+        engine.check(handle, other, "k-observational", k=2)
+        assert handle.artifact_summary()["minimized_observational"] == 1
 
 
 class TestAgainstReferenceRoutes:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.fsp import TAU, from_transitions
 from repro.core.paper_figures import fig2_language_pair
 from repro.equivalence.hml import (
@@ -17,6 +19,7 @@ from repro.equivalence.hml import (
 )
 from repro.equivalence.observational import observationally_equivalent_processes
 from repro.equivalence.strong import strongly_equivalent
+from repro.partition.partition import PartitionError
 
 
 class TestSatisfaction:
@@ -126,3 +129,8 @@ class TestDistinguishingFormulas:
         assert strong_formula is not None
         assert satisfies(process, "p", strong_formula) != satisfies(process, "q", strong_formula)
         assert distinguishing_formula(process, "p", "q", weak=True) is None
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_unknown_state_is_rejected(self, branching_process, weak):
+        with pytest.raises(PartitionError, match="nowhere"):
+            distinguishing_formula(branching_process, "s", "nowhere", weak=weak)

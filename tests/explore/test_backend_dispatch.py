@@ -1,41 +1,26 @@
 """Tests for the vector-backend dispatch in compositional minimisation.
 
-``minimize_compositionally`` defaults to ``backend="auto"``: each
-intermediate quotient runs on the vectorized numpy kernel once its state
-count clears ``VECTOR_STATE_THRESHOLD`` (and numpy is present), and on the
-sequential Python solvers below it.  The tests pin the dispatch decision
-itself and the end-to-end agreement of the two kernels on real systems.
+``minimize_compositionally`` defaults to ``backend="auto"`` and passes it
+through unchanged: each intermediate quotient's saturation and refinement
+resolve it by state count against
+``repro.partition.generalized.VECTOR_STATE_THRESHOLD`` (the dispatch rule
+itself is pinned in ``tests/partition/test_auto_backend.py``).  These tests
+lower that threshold so the vector kernel really runs, and require the two
+kernels to agree end to end on real systems.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.explore.system
 from repro.engine import default_engine
 from repro.explore import compose_eager, minimize_compositionally
-from repro.explore.system import VECTOR_STATE_THRESHOLD, _partition_backend
 from repro.generators.families import redundant_interleaving_system, token_ring_system
+from repro.partition import generalized
 from repro.protocols import build_scenario
 from repro.utils.matrices import HAVE_NUMPY
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
-
-
-class TestDispatchDecision:
-    def test_explicit_backends_pass_through(self):
-        assert _partition_backend(10, "python") == "python"
-        assert _partition_backend(10**6, "python") == "python"
-        assert _partition_backend(3, "vector") == "vector"
-
-    @needs_numpy
-    def test_auto_picks_vector_above_the_threshold(self):
-        assert _partition_backend(VECTOR_STATE_THRESHOLD - 1, "auto") == "python"
-        assert _partition_backend(VECTOR_STATE_THRESHOLD, "auto") == "vector"
-
-    def test_auto_stays_python_without_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.utils.matrices.HAVE_NUMPY", False)
-        assert _partition_backend(10**6, "auto") == "python"
 
 
 @needs_numpy
@@ -44,7 +29,7 @@ class TestBackendAgreement:
 
     @pytest.fixture(autouse=True)
     def tiny_threshold(self, monkeypatch):
-        monkeypatch.setattr(repro.explore.system, "VECTOR_STATE_THRESHOLD", 1)
+        monkeypatch.setattr(generalized, "VECTOR_STATE_THRESHOLD", 1)
 
     @pytest.mark.parametrize(
         "spec_factory",
