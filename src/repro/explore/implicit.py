@@ -94,20 +94,31 @@ class ImplicitLTS(ABC):
 
 
 class FSPAdapter(ImplicitLTS):
-    """An eager :class:`~repro.core.fsp.FSP` viewed through the implicit interface."""
+    """An eager :class:`~repro.core.fsp.FSP` viewed through the implicit interface.
 
-    __slots__ = ("fsp",)
+    Moves come out sorted, never in the hash order of the FSP's transition
+    sets, so every search over the adapter -- and over products of adapters
+    -- runs the same way under every hash seed.  They are memoised per
+    state: a leaf state recurs in many product states.
+    """
+
+    __slots__ = ("fsp", "_moves")
 
     def __init__(self, fsp: FSP) -> None:
         if not isinstance(fsp, FSP):
             raise InvalidProcessError(f"FSPAdapter wraps an FSP, not {type(fsp).__name__}")
         self.fsp = fsp
+        self._moves: dict[str, tuple[Move, ...]] = {}
 
     def initial(self) -> str:
         return self.fsp.start
 
-    def successors(self, state: str) -> Iterator[Move]:
-        return iter(self.fsp.transitions_from(state))
+    def successors(self, state: str) -> tuple[Move, ...]:
+        moves = self._moves.get(state)
+        if moves is None:
+            moves = tuple(sorted(self.fsp.transitions_from(state)))
+            self._moves[state] = moves
+        return moves
 
     def extension(self, state: str) -> frozenset[str]:
         return self.fsp.extension(state)

@@ -37,6 +37,7 @@ an unverified explanation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.errors import StateSpaceLimitError
@@ -99,7 +100,13 @@ class ExploreResult:
 
 
 class _Explorer:
-    """Memoised successor / tau-closure / weak-move queries over one system."""
+    """Memoised successor / tau-closure / weak-move queries over one system.
+
+    Closures and weak successors are tuples in discovery order (built in an
+    insertion-ordered dict, so membership stays O(1)), which keeps the
+    defender's responses -- and with them the whole search -- independent of
+    the hash seed.
+    """
 
     __slots__ = ("node", "_succ", "_ext", "_closure", "_weak")
 
@@ -107,8 +114,8 @@ class _Explorer:
         self.node = node
         self._succ: dict[State, tuple[tuple[str, State], ...]] = {}
         self._ext: dict[State, frozenset[str]] = {}
-        self._closure: dict[State, frozenset[State]] = {}
-        self._weak: dict[tuple[State, str], frozenset[State]] = {}
+        self._closure: dict[State, tuple[State, ...]] = {}
+        self._weak: dict[tuple[State, str], tuple[State, ...]] = {}
 
     def successors(self, state: State) -> tuple[tuple[str, State], ...]:
         moves = self._succ.get(state)
@@ -124,33 +131,37 @@ class _Explorer:
             self._ext[state] = ext
         return ext
 
-    def closure(self, state: State) -> frozenset[State]:
-        """The tau-closure of ``state`` (always contains ``state``)."""
+    def close(self, states: Iterable[State]) -> tuple[State, ...]:
+        """The tau-closure of ``states``, in discovery order."""
+        seen = dict.fromkeys(states)  # an insertion-ordered set
+        frontier = list(seen)
+        while frontier:
+            current = frontier.pop()
+            for action, target in self.successors(current):
+                if action == TAU and target not in seen:
+                    seen[target] = None
+                    frontier.append(target)
+        return tuple(seen)
+
+    def closure(self, state: State) -> tuple[State, ...]:
+        """The tau-closure of ``state`` (always starts with ``state``)."""
         cached = self._closure.get(state)
         if cached is None:
-            seen = {state}
-            frontier = [state]
-            while frontier:
-                current = frontier.pop()
-                for action, target in self.successors(current):
-                    if action == TAU and target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-            cached = frozenset(seen)
+            cached = self.close((state,))
             self._closure[state] = cached
         return cached
 
-    def weak_successors(self, state: State, action: str) -> frozenset[State]:
+    def weak_successors(self, state: State, action: str) -> tuple[State, ...]:
         """``{q : state =action=> q}`` -- closure, one strong step, closure."""
         key = (state, action)
         cached = self._weak.get(key)
         if cached is None:
-            out: set[State] = set()
+            out: dict[State, None] = {}
             for source in self.closure(state):
                 for label, target in self.successors(source):
                     if label == action:
-                        out |= self.closure(target)
-            cached = frozenset(out)
+                        out.update(dict.fromkeys(self.closure(target)))
+            cached = tuple(out)
             self._weak[key] = cached
         return cached
 
@@ -159,8 +170,8 @@ class _Explorer:
         if not weak:
             return tuple(t for a, t in self.successors(state) if a == action)
         if action == TAU:
-            return tuple(self.closure(state))
-        return tuple(self.weak_successors(state, action))
+            return self.closure(state)
+        return self.weak_successors(state, action)
 
     @property
     def states_explored(self) -> int:
@@ -375,17 +386,19 @@ class _Search:
 
 
 def _replay_step(explorer: _Explorer, macro: frozenset, action: str, weak: bool) -> frozenset:
-    if weak:
-        out: set = set()
-        for state in macro:
-            out |= explorer.weak_successors(state, action)
-        return frozenset(out)
-    return frozenset(
+    """The macro-state after one ``action`` step.
+
+    Under ``weak`` the macro-state is tau-closed (it starts as a closure and
+    every step closes again), so the union of ``weak_successors`` over it is
+    the closure of its strong ``action``-image: one DFS for the whole set.
+    """
+    image = [
         target
         for state in macro
         for label, target in explorer.successors(state)
         if label == action
-    )
+    ]
+    return frozenset(explorer.close(image) if weak else image)
 
 
 def _verify_trace(
@@ -402,8 +415,8 @@ def _verify_trace(
     """
     start_left = left.node.initial()
     start_right = right.node.initial()
-    left_macro: frozenset = left.closure(start_left) if weak else frozenset({start_left})
-    right_macro: frozenset = right.closure(start_right) if weak else frozenset({start_right})
+    left_macro = frozenset(left.closure(start_left) if weak else (start_left,))
+    right_macro = frozenset(right.closure(start_right) if weak else (start_right,))
     steps = tuple(a for a in trace if not (weak and a == TAU))
     for action in steps:
         left_macro = _replay_step(left, left_macro, action, weak)

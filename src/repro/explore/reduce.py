@@ -32,7 +32,8 @@ compose with the products, the checker and the protocol verbs unchanged:
 
 * **Symmetry reduction** (:class:`SymmetryReducer`) -- quotient by a
   declared automorphism group, implemented as canonical-form hashing: every
-  state is flattened along the product tree into its tuple of leaf states,
+  state is flattened into its tuple of leaf states (following the product
+  layout the reducer compiles once from the composition tree),
   canonicalised (:class:`RotationSymmetry` minimises over ring rotations,
   :class:`FullPermutationSymmetry` sorts each interchangeable group), and
   rebuilt.  The orbit relation of a label-preserving automorphism group is a
@@ -150,38 +151,42 @@ class Fingerprinter:
 
 
 # ----------------------------------------------------------------------
-# Flattening product states along the composition tree
+# The leaf layout of a composition tree
 # ----------------------------------------------------------------------
-def _flatten(node: ImplicitLTS, state, out: list) -> None:
+def _compile_layout(node: ImplicitLTS):
+    """The product shape of ``node`` as plain data, walked once per reducer.
+
+    ``None`` stands for a leaf and a pair ``(left, right)`` for a binary
+    product; unary operators and stacked reducers pass states through
+    unchanged, so they vanish from the layout.
+    """
+    while isinstance(node, (_LazyWrapper, SymmetryReducer, ConfluenceReducer)):
+        node = node.inner
+    if isinstance(node, _LazyProduct):
+        return (_compile_layout(node.left), _compile_layout(node.right))
+    return None
+
+
+def _leaves(layout, state, out: list) -> None:
     """Append the leaf states of ``state`` (left-to-right) to ``out``."""
-    if isinstance(node, _LazyProduct):
-        _flatten(node.left, state[0], out)
-        _flatten(node.right, state[1], out)
-    elif isinstance(node, _LazyWrapper):
-        _flatten(node.inner, state, out)
-    elif isinstance(node, (SymmetryReducer, ConfluenceReducer)):
-        _flatten(node.inner, state, out)
-    else:
+    if layout is None:
         out.append(state)
+    else:
+        _leaves(layout[0], state[0], out)
+        _leaves(layout[1], state[1], out)
 
 
-def _unflatten(node: ImplicitLTS, flat: tuple, index: int):
-    """Rebuild a product state from ``flat[index:]``; returns ``(state, next)``."""
-    if isinstance(node, _LazyProduct):
-        left, index = _unflatten(node.left, flat, index)
-        right, index = _unflatten(node.right, flat, index)
-        return (left, right), index
-    if isinstance(node, (_LazyWrapper, SymmetryReducer, ConfluenceReducer)):
-        return _unflatten(node.inner, flat, index)
-    return flat[index], index + 1
+def _rebuild(layout, leaves: Iterator):
+    """The product state whose leaves, left-to-right, are drawn from ``leaves``."""
+    if layout is None:
+        return next(leaves)
+    return (_rebuild(layout[0], leaves), _rebuild(layout[1], leaves))
 
 
-def _leaf_count(node: ImplicitLTS) -> int:
-    if isinstance(node, _LazyProduct):
-        return _leaf_count(node.left) + _leaf_count(node.right)
-    if isinstance(node, (_LazyWrapper, SymmetryReducer, ConfluenceReducer)):
-        return _leaf_count(node.inner)
-    return 1
+def _leaf_count(layout) -> int:
+    if layout is None:
+        return 1
+    return _leaf_count(layout[0]) + _leaf_count(layout[1])
 
 
 def _state_key(state) -> str:
@@ -384,7 +389,7 @@ class SymmetryReducer(ImplicitLTS):
     through it.
     """
 
-    __slots__ = ("inner", "symmetries", "validate", "_canon")
+    __slots__ = ("inner", "symmetries", "validate", "_canon", "_layout")
 
     def __init__(self, inner, symmetry, *, validate: bool = False) -> None:
         self.inner = as_implicit(inner)
@@ -394,7 +399,8 @@ class SymmetryReducer(ImplicitLTS):
             symmetries = tuple(symmetry)
         if not symmetries:
             raise InvalidProcessError("SymmetryReducer needs at least one symmetry")
-        leaves = _leaf_count(self.inner)
+        self._layout = _compile_layout(self.inner)
+        leaves = _leaf_count(self._layout)
         for declared in symmetries:
             beyond = [p for p in declared.positions if p >= leaves]
             if beyond:
@@ -410,11 +416,11 @@ class SymmetryReducer(ImplicitLTS):
         cached = self._canon.get(state)
         if cached is None:
             flat: list = []
-            _flatten(self.inner, state, flat)
+            _leaves(self._layout, state, flat)
             canonical = tuple(flat)
             for symmetry in self.symmetries:
                 canonical = symmetry.canonical(canonical)
-            cached, _ = _unflatten(self.inner, canonical, 0)
+            cached = _rebuild(self._layout, iter(canonical))
             self._canon[state] = cached
         return cached
 
@@ -442,14 +448,14 @@ class SymmetryReducer(ImplicitLTS):
 
     def _validate(self, state: State) -> None:
         flat: list = []
-        _flatten(self.inner, state, flat)
+        _leaves(self._layout, state, flat)
         base = tuple(flat)
         for symmetry in self.symmetries:
             labelled = symmetry.label_preserving
             reference = self._moves_profile(state, labelled)
             extension = self.inner.extension(state)
             for image_flat in symmetry.generator_images(base):
-                image, _ = _unflatten(self.inner, image_flat, 0)
+                image = _rebuild(self._layout, iter(image_flat))
                 if self.inner.extension(image) != extension:
                     raise InvalidProcessError(
                         f"symmetry validation failed: generator image of "
