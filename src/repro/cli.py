@@ -137,13 +137,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if verdict.equivalent else EXIT_INEQUIVALENT
 
 
-def _load_manifest(path: str | Path) -> list[dict]:
+def _load_manifest(path: str | Path, notion: str) -> list[dict]:
     """Read a ``batch`` manifest: a JSON list of checks, or ``{"checks": [...]}``.
 
     Each check is an object with ``left`` and ``right`` process-file paths,
-    an optional ``notion`` and optional notion parameters (``k``, bounds).
-    Relative paths are resolved against the manifest's directory.
+    an optional ``notion`` and optional notion parameters (``k``, bounds),
+    read as an engine manifest entry (:func:`repro.engine.request.manifest_entry`),
+    so a bad entry is reported with its index and field.  Relative paths
+    are resolved against the manifest's directory.
     """
+    from repro.engine.request import BAD_REQUEST, RequestError, manifest_entry
+
     path = Path(path)
     document = json.loads(path.read_text(encoding="utf-8"))
     checks = document.get("checks") if isinstance(document, dict) else document
@@ -151,20 +155,26 @@ def _load_manifest(path: str | Path) -> list[dict]:
         raise ValueError(
             f"manifest {path} must be a JSON list of checks or an object with a 'checks' list"
         )
-    base = path.parent
     resolved: list[dict] = []
     for index, item in enumerate(checks):
-        if not isinstance(item, dict) or "left" not in item or "right" not in item:
+        if not isinstance(item, dict):
             raise ValueError(f"manifest check #{index} must be an object with 'left' and 'right'")
-        spec = dict(item)
-        spec["left"] = str(base / spec["left"])
-        spec["right"] = str(base / spec["right"])
-        resolved.append(spec)
+        manifest_entry(item, index, notion)
+        for name in ("left", "right"):
+            if not isinstance(item[name], str):
+                raise RequestError(
+                    BAD_REQUEST,
+                    f"check #{index}: field {name!r} must be a process-file path, "
+                    f"not {type(item[name]).__name__}",
+                    f"checks[{index}].{name}",
+                )
+        left, right = (str(path.parent / item[name]) for name in ("left", "right"))
+        resolved.append({**item, "left": left, "right": right})
     return resolved
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    checks = _load_manifest(args.manifest)
+    checks = _load_manifest(args.manifest, args.notion)
     result = default_engine().check_many(
         checks, notion=args.notion, align=True, witness=args.explain
     )
@@ -469,16 +479,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
 
-def _run_client_op(client, args: argparse.Namespace) -> int:
-    if args.client_op == "ping":
-        info = client.ping()
-        print(f"service {info['version']} up, {info['shards']} shard(s)")
-        return 0
-    if args.client_op == "store":
-        digest = client.store(load_process(args.process))
-        print(digest)
-        return 0
-    if args.client_op == "check":
+def _run_shared_op(client, op: str, args: argparse.Namespace) -> int | None:
+    """The operations both clients share (None: not one of them)."""
+    if op == "check":
         verdict = client.check(
             _client_source(args.first),
             _client_source(args.second),
@@ -489,21 +492,39 @@ def _run_client_op(client, args: argparse.Namespace) -> int:
             **_notion_params(args),
         )
         answer = "equivalent" if verdict["equivalent"] else "NOT equivalent"
+        served = f"shard {verdict['shard']}"
+        if "node" in verdict:
+            served = f"node {verdict['node']}, {served}"
         print(
             f"{args.first} and {args.second} are {answer} under {verdict['notion']} "
-            f"equivalence (shard {verdict['shard']})"
+            f"equivalence ({served})"
         )
         if args.explain and verdict.get("witness"):
             print(f"  witness: {verdict['witness']}")
         return 0 if verdict["equivalent"] else EXIT_INEQUIVALENT
-    if args.client_op == "minimize":
+    if op == "minimize":
         minimal = client.minimize(_client_source(args.process), args.notion)
         save_process(minimal, args.output)
         print(f"minimised to {minimal.num_states} states; written to {args.output}")
         return 0
-    if args.client_op == "classify":
+    if op == "classify":
         for name in client.classify(_client_source(args.process)):
             print(f"  {name}")
+        return 0
+    return None
+
+
+def _run_client_op(client, args: argparse.Namespace) -> int:
+    shared = _run_shared_op(client, args.client_op, args)
+    if shared is not None:
+        return shared
+    if args.client_op == "ping":
+        info = client.ping()
+        print(f"service {info['version']} up, {info['shards']} shard(s)")
+        return 0
+    if args.client_op == "store":
+        digest = client.store(load_process(args.process))
+        print(digest)
         return 0
     if args.client_op == "metrics":
         print(json.dumps(client.metrics(), indent=2, sort_keys=True))
@@ -613,6 +634,9 @@ def _cmd_cluster_client(args: argparse.Namespace) -> int:
 
 
 def _run_cluster_client_op(client, args: argparse.Namespace) -> int:
+    shared = _run_shared_op(client, args.cluster_op, args)
+    if shared is not None:
+        return shared
     if args.cluster_op == "ping":
         info = client.ping()
         nodes = info.get("nodes", {})
@@ -630,33 +654,6 @@ def _run_cluster_client_op(client, args: argparse.Namespace) -> int:
         result = client.store(load_process(args.process))
         replicas = ",".join(result.get("replicas", []))
         print(f"{result['digest']} (replicas: {replicas})")
-        return 0
-    if args.cluster_op == "check":
-        verdict = client.check(
-            _client_source(args.first),
-            _client_source(args.second),
-            args.notion,
-            witness=args.explain,
-            reduction=args.reduction,
-            deadline_ms=args.deadline_ms,
-            **_notion_params(args),
-        )
-        answer = "equivalent" if verdict["equivalent"] else "NOT equivalent"
-        print(
-            f"{args.first} and {args.second} are {answer} under {verdict['notion']} "
-            f"equivalence (node {verdict.get('node', '?')}, shard {verdict['shard']})"
-        )
-        if args.explain and verdict.get("witness"):
-            print(f"  witness: {verdict['witness']}")
-        return 0 if verdict["equivalent"] else EXIT_INEQUIVALENT
-    if args.cluster_op == "minimize":
-        minimal = client.minimize(_client_source(args.process), args.notion)
-        save_process(minimal, args.output)
-        print(f"minimised to {minimal.num_states} states; written to {args.output}")
-        return 0
-    if args.cluster_op == "classify":
-        for name in client.classify(_client_source(args.process)):
-            print(f"  {name}")
         return 0
     if args.cluster_op == "stats":
         stats = client.stats()
@@ -690,6 +687,33 @@ def _add_verdict_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--stats", action="store_true", help="print timing and cache provenance per check"
     )
+
+
+def _add_remote_ops(ops, where: str) -> None:
+    """The check/minimize/classify subcommands both clients share."""
+    check = ops.add_parser(
+        "check", help=f"decide an equivalence {where} (files or sha256: digests)"
+    )
+    check.add_argument("first", help="process file or sha256:... digest")
+    check.add_argument("second", help="process file or sha256:... digest")
+    check.add_argument("--notion", choices=list(available_notions()), default="observational")
+    check.add_argument("--k", type=int, default=1, help="level for k-observational")
+    check.add_argument(
+        "--explain", action="store_true", help="request and print a witness on inequivalence"
+    )
+    check.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="abort the check past this many milliseconds (error: deadline_exceeded)",
+    )
+    _add_reduction_flag(check)
+    minimize = ops.add_parser("minimize", help=f"minimise {where}")
+    minimize.add_argument("process", help="process file or sha256:... digest")
+    minimize.add_argument("output")
+    minimize.add_argument("--notion", choices=["strong", "observational"], default="observational")
+    classify = ops.add_parser("classify", help=f"classify {where}")
+    classify.add_argument("process", help="process file or sha256:... digest")
 
 
 def _add_reduction_flag(command: argparse.ArgumentParser) -> None:
@@ -996,35 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_store.add_argument("process", help="process file (.json or .aut)")
 
-    client_check = client_ops.add_parser(
-        "check", help="decide an equivalence on the service (files or sha256: digests)"
-    )
-    client_check.add_argument("first", help="process file or sha256:... digest")
-    client_check.add_argument("second", help="process file or sha256:... digest")
-    client_check.add_argument(
-        "--notion", choices=list(available_notions()), default="observational"
-    )
-    client_check.add_argument("--k", type=int, default=1, help="level for k-observational")
-    client_check.add_argument(
-        "--explain", action="store_true", help="request and print a witness on inequivalence"
-    )
-    client_check.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="abort the check past this many milliseconds (error: deadline_exceeded)",
-    )
-    _add_reduction_flag(client_check)
-
-    client_minimize = client_ops.add_parser("minimize", help="minimise on the service")
-    client_minimize.add_argument("process", help="process file or sha256:... digest")
-    client_minimize.add_argument("output")
-    client_minimize.add_argument(
-        "--notion", choices=["strong", "observational"], default="observational"
-    )
-
-    client_classify = client_ops.add_parser("classify", help="classify on the service")
-    client_classify.add_argument("process", help="process file or sha256:... digest")
+    _add_remote_ops(client_ops, "on the service")
 
     client_ops.add_parser("stats", help="server totals and per-shard cache statistics")
 
@@ -1111,32 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ccli_store.add_argument("process", help="process file (.json or .aut)")
 
-    ccli_check = ccli_ops.add_parser(
-        "check", help="decide an equivalence through the cluster"
-    )
-    ccli_check.add_argument("first", help="process file or sha256:... digest")
-    ccli_check.add_argument("second", help="process file or sha256:... digest")
-    ccli_check.add_argument(
-        "--notion", choices=list(available_notions()), default="observational"
-    )
-    ccli_check.add_argument("--k", type=int, default=1, help="level for k-observational")
-    ccli_check.add_argument(
-        "--explain", action="store_true", help="request and print a witness on inequivalence"
-    )
-    ccli_check.add_argument("--deadline-ms", type=float, default=None)
-    _add_reduction_flag(ccli_check)
-
-    ccli_minimize = ccli_ops.add_parser(
-        "minimize", help="minimise through the cluster (artifact-cache first)"
-    )
-    ccli_minimize.add_argument("process", help="process file or sha256:... digest")
-    ccli_minimize.add_argument("output")
-    ccli_minimize.add_argument(
-        "--notion", choices=["strong", "observational"], default="observational"
-    )
-
-    ccli_classify = ccli_ops.add_parser("classify", help="classify through the cluster")
-    ccli_classify.add_argument("process", help="process file or sha256:... digest")
+    _add_remote_ops(ccli_ops, "through the cluster")
 
     ccli_ops.add_parser("stats", help="coordinator counters plus per-node totals")
 

@@ -1,7 +1,8 @@
 """Synchronous HTTP client for the cluster gateway.
 
-:class:`ClusterClient` mirrors :class:`~repro.service.client.ServiceClient`
-method-for-method but speaks the gateway's HTTP/JSON dialect instead of raw
+:class:`ClusterClient` shares :class:`~repro.service.client.ServiceClient`'s
+operations -- one encoder, :class:`~repro.service.client.Operations` -- but
+speaks the gateway's HTTP/JSON dialect instead of raw
 NDJSON, so anything written against the TCP client ports to the cluster by
 swapping the constructor.  Error envelopes (``{"ok": false, "error":
 {...}}``) are rehydrated into the same :class:`~repro.service.protocol.
@@ -21,8 +22,8 @@ from typing import Any
 
 from repro.core.fsp import FSP
 from repro.service import protocol
+from repro.service.client import Operations
 from repro.service.retry import DEFAULT_RETRIES, RetryPolicy
-from repro.utils.serialization import from_dict
 
 from repro.cluster import DEFAULT_GATEWAY_PORT
 
@@ -37,7 +38,7 @@ def _overload_hint(error: Exception):
     return False
 
 
-class ClusterClient:
+class ClusterClient(Operations):
     """Talk to a :class:`~repro.cluster.gateway.ClusterGateway` over HTTP."""
 
     def __init__(
@@ -110,18 +111,16 @@ class ClusterClient:
             error.get("data") if isinstance(error.get("data"), dict) else {},
         )
 
-    def _rpc(self, op: str, params: dict[str, Any] | None = None) -> Any:
+    def request(self, op: str, params: dict[str, Any] | None = None) -> Any:
+        """POST one operation to its ``/v1/<op>`` route (``overloaded`` retried)."""
         return self._retry.run(
             lambda: self._request_once("POST", f"/v1/{op}", params or {}),
             is_overloaded=_overload_hint,
         )
 
     # ------------------------------------------------------------------
-    # operations (mirror ServiceClient)
+    # operations beyond the shared ones
     # ------------------------------------------------------------------
-    def ping(self) -> dict[str, Any]:
-        return self._rpc("ping")
-
     def healthz(self) -> dict[str, Any]:
         """The gateway's health document (does not raise on 503)."""
         return self._request_once("GET", "/healthz", None)
@@ -133,90 +132,4 @@ class ClusterClient:
     def store(self, process: FSP | dict) -> dict[str, Any]:
         """Upload + replicate one process; returns digest and replica list."""
         ref = protocol.process_ref(process)
-        return self._rpc("store", {"process": ref["process"]})
-
-    def check(
-        self,
-        left,
-        right,
-        notion: str = "observational",
-        *,
-        align: bool = True,
-        witness: bool = False,
-        on_the_fly: bool | None = None,
-        reduction: str | None = None,
-        deadline_ms: float | None = None,
-        **params: Any,
-    ) -> dict[str, Any]:
-        """Decide one equivalence through the cluster (ServiceClient shape)."""
-        body: dict[str, Any] = {
-            "left": protocol.process_ref(left),
-            "right": protocol.process_ref(right),
-            "notion": notion,
-            "align": align,
-            "witness": witness,
-            "params": params,
-        }
-        if on_the_fly is not None:
-            body["on_the_fly"] = on_the_fly
-        if reduction is not None:
-            body["reduction"] = reduction
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        return self._rpc("check", body)
-
-    def check_many(
-        self,
-        checks: list[tuple | dict],
-        *,
-        notion: str = "observational",
-        align: bool = True,
-        witness: bool = False,
-        reduction: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict[str, Any]:
-        """Run a manifest of checks cluster-wide (ServiceClient entry shapes)."""
-        encoded = []
-        for index, item in enumerate(checks):
-            if isinstance(item, dict):
-                entry = dict(item)
-                entry["left"] = protocol.process_ref(entry["left"])
-                entry["right"] = protocol.process_ref(entry["right"])
-            elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
-                entry = {
-                    "left": protocol.process_ref(item[0]),
-                    "right": protocol.process_ref(item[1]),
-                }
-                if len(item) == 3:
-                    entry["notion"] = item[2]
-            else:
-                raise ValueError(f"check #{index} must be (left, right[, notion]) or a mapping")
-            encoded.append(entry)
-        body: dict[str, Any] = {
-            "checks": encoded,
-            "notion": notion,
-            "align": align,
-            "witness": witness,
-        }
-        if reduction is not None:
-            body["reduction"] = reduction
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        return self._rpc("check_many", body)
-
-    def minimize(self, process, notion: str = "observational") -> FSP:
-        """The quotient under strong/observational equivalence, cluster-served."""
-        return from_dict(self.minimize_info(process, notion)["process"])
-
-    def minimize_info(self, process, notion: str = "observational") -> dict[str, Any]:
-        """Minimise, returning the raw result document (sizes, cache flags)."""
-        return self._rpc(
-            "minimize", {"process": protocol.process_ref(process), "notion": notion}
-        )
-
-    def classify(self, process) -> list[str]:
-        """The model classes of a process, as strings (ServiceClient shape)."""
-        return self._rpc("classify", {"process": protocol.process_ref(process)})["classes"]
-
-    def stats(self) -> dict[str, Any]:
-        return self._rpc("stats")
+        return self.request("store", {"process": ref["process"]})

@@ -32,6 +32,11 @@ routes checks inside one node, generalised one level up:
   dispatches to the least-loaded *replica* instead -- replicas hold the
   digest by construction, so stealing never trades a cache miss for an
   ``unknown_digest``.  Hot keys stay home, mirroring the shard pool's rule.
+* **Validation and one deadline budget.**  Every request is parsed with
+  :mod:`repro.engine.request` before it is routed, so the gateway and a
+  single node give the same answers.  A ``deadline_ms`` becomes one absolute
+  instant: each failover or read-repair retry is sent only the time that
+  remains, and a spent budget answers ``deadline_exceeded``.
 
 The coordinator is asyncio-native (the gateway embeds it in its event
 loop); telemetry is exposed as plain counters the gateway folds into its
@@ -48,8 +53,9 @@ from typing import Any
 from repro.cluster.ring import HashRing
 from repro.cluster.store import ClusterStore
 from repro.core.errors import InvalidProcessError
-from repro.service import protocol
-from repro.service.shards import routing_key_of
+from repro.engine import request
+from repro.service import flow, protocol
+from repro.service.shards import DEADLINE_GRACE_SECONDS, routing_key_of
 from repro.utils.serialization import content_digest, to_dict
 
 __all__ = ["ClusterCoordinator", "NodeLink", "NodeState"]
@@ -76,18 +82,6 @@ NO_NODE_RETRY_MS = 500
 #: request timeout: a healthy node accepts instantly even when busy, so a
 #: slow connect means the node (not the work) is sick.
 CONNECT_TIMEOUT = 5.0
-
-
-def _digest_refs(params: dict[str, Any]) -> list[str]:
-    """Every digest reference in a request, in operand order, deduplicated."""
-    digests: list[str] = []
-    for key in ("left", "right", "process"):
-        ref = params.get(key)
-        if isinstance(ref, dict):
-            digest = ref.get("digest")
-            if isinstance(digest, str) and digest not in digests:
-                digests.append(digest)
-    return digests
 
 
 class NodeLink:
@@ -421,6 +415,7 @@ class ClusterCoordinator:
         op: str,
         params: dict[str, Any],
         *,
+        deadline: float | None = None,
         count_check: bool = False,
     ) -> dict[str, Any]:
         """Walk the candidate list until one node answers.
@@ -432,6 +427,10 @@ class ClusterCoordinator:
         repair (push the missing processes from the coordinator's durable
         store and retry the same node once), and failing that falls
         through to the next candidate, which may hold the upload.
+
+        ``deadline`` (an absolute monotonic instant) is one budget for every
+        attempt: each is sent the time that remains as its ``deadline_ms``,
+        and once none remains the request answers ``deadline_exceeded``.
         """
         last_error: Exception | None = None
         for index, node in enumerate(candidates):
@@ -442,10 +441,9 @@ class ClusterCoordinator:
             try:
                 repaired = False
                 while True:
+                    attempt, timeout = self._budgeted(params, deadline)
                     try:
-                        result = await node.link.request(
-                            op, params, timeout=self.request_timeout
-                        )
+                        result = await node.link.request(op, attempt, timeout=timeout)
                         result.setdefault("node", node.node_id)
                         return result
                     except protocol.ServiceError as error:
@@ -459,6 +457,8 @@ class ClusterCoordinator:
                             break
                         raise
             except (ConnectionError, OSError) as error:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise self._budget_spent() from None  # the budget, not the node, ran out
                 node.healthy = False
                 last_error = error
                 if has_fallback:
@@ -471,6 +471,26 @@ class ClusterCoordinator:
             protocol.INTERNAL,
             f"every candidate node failed: {last_error}",
             {"nodes_tried": len(candidates)},
+        )
+
+    def _budgeted(
+        self, params: dict[str, Any], deadline: float | None
+    ) -> tuple[dict[str, Any], float | None]:
+        """One attempt's params and wait: the deadline budget that remains."""
+        remaining = flow.remaining_seconds(deadline)
+        if remaining is None:
+            return params, self.request_timeout
+        if remaining <= 0:
+            raise self._budget_spent()
+        timeout = remaining + DEADLINE_GRACE_SECONDS
+        if self.request_timeout is not None:
+            timeout = min(timeout, self.request_timeout)
+        return {**params, "deadline_ms": remaining * 1000.0}, timeout
+
+    @staticmethod
+    def _budget_spent() -> protocol.ServiceError:
+        return protocol.ServiceError(
+            protocol.DEADLINE_EXCEEDED, "the request's deadline passed before a node answered"
         )
 
     async def _repair_missing(self, node: NodeState, params: dict[str, Any]) -> int:
@@ -486,7 +506,7 @@ class ClusterCoordinator:
         if self.store is None:
             return 0
         pushed = 0
-        for digest in _digest_refs(params):
+        for digest in request.digest_refs(params):
             try:
                 fsp = await asyncio.to_thread(self.store.processes.get, digest)
             except (KeyError, InvalidProcessError):
@@ -514,53 +534,38 @@ class ClusterCoordinator:
             "replication_factor": self.replication_factor,
         }
 
+    @protocol.service_errors
     async def check(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Route one check to its planned node, failing over on node loss."""
-        return await self._dispatch(self.plan_check(params), "check", params, count_check=True)
+        """Validate one check, then route it to its planned node, failing over on node loss."""
+        fields = request.parse("check", params)
+        return await self._check(fields, request.deadline_at(fields["deadline_ms"]))
 
+    async def _check(self, check: dict[str, Any], deadline: float | None) -> dict[str, Any]:
+        # The worker spec is itself a valid check request: the node parses it
+        # again, so the gateway and a single node answer alike.
+        spec = request.check_spec(check)
+        return await self._dispatch(
+            self.plan_check(spec), "check", spec, deadline=deadline, count_check=True
+        )
+
+    @protocol.service_errors
     async def check_many(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Fan a manifest across the cluster; per-check errors stay inline."""
-        checks = params.get("checks")
-        if not isinstance(checks, list):
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "check_many needs a 'checks' list of check objects"
-            )
-        defaults = {
-            key: params[key]
-            for key in ("notion", "align", "witness", "on_the_fly", "reduction", "deadline_ms")
-            if key in params
-        }
+        """Fan a manifest across the cluster; per-check errors stay inline.
 
-        async def one(item: Any) -> dict[str, Any]:
-            if not isinstance(item, dict):
-                return {
-                    "error": {
-                        "code": protocol.BAD_REQUEST,
-                        "message": "each check must be an object",
-                    }
-                }
-            merged = {**defaults, **item}
+        The batch's ``deadline_ms`` is one budget shared by every check.
+        """
+        fields = request.parse("check_many", params)
+        deadline = request.deadline_at(fields["deadline_ms"])
+
+        async def one(check: dict[str, Any]) -> dict[str, Any]:
             try:
-                return await self.check(merged)
-            except protocol.ServiceError as error:
-                inline: dict[str, Any] = {"code": error.code, "message": error.message}
-                if error.data:
-                    inline["data"] = error.data
-                return {"error": inline}
+                return await self._check(check, deadline)
+            except protocol.STRUCTURED_ERRORS as error:
+                return {"error": protocol.error_body(error.code, error.message, error.data)}
 
-        results = list(await asyncio.gather(*(one(item) for item in checks)))
-        equivalent = sum(1 for r in results if r.get("equivalent") is True)
-        failed = sum(1 for r in results if "error" in r)
-        return {
-            "results": results,
-            "summary": {
-                "checks": len(results),
-                "equivalent": equivalent,
-                "inequivalent": len(results) - equivalent - failed,
-                "failed": failed,
-            },
-        }
+        return protocol.batch_result(await asyncio.gather(*(one(c) for c in fields["checks"])))
 
+    @protocol.service_errors
     async def store_process(self, params: dict[str, Any]) -> dict[str, Any]:
         """Replicate one upload to the digest's replica set.
 
@@ -570,11 +575,7 @@ class ClusterCoordinator:
         persists its own copy too, so re-replication after a node loss has
         a durable source.
         """
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "store needs a 'process' (inline serialised FSP)"
-            )
+        ref = request.parse("store", params)["process"]
         fsp = protocol.resolve_ref({"process": ref})
         digest = content_digest(fsp)
         if self.store is not None:
@@ -611,6 +612,7 @@ class ClusterCoordinator:
             "replicas": accepted,
         }
 
+    @protocol.service_errors
     async def minimize(self, params: dict[str, Any]) -> dict[str, Any]:
         """Minimise via the artifact store first, any replica second.
 
@@ -621,12 +623,10 @@ class ClusterCoordinator:
         and the quotient process is re-stored to the replica set so later
         checks can reference it by digest anywhere.
         """
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "minimize needs a 'process' reference"
-            )
-        notion = str(params.get("notion", "observational"))
+        fields = request.parse("minimize", params)
+        ref = fields["process"]
+        # Aliases share one artifact: the key is the registry's canonical name.
+        notion = request.minimize_notion(fields["notion"])
         digest: str | None = None
         if isinstance(ref, dict):
             if isinstance(ref.get("digest"), str):
@@ -644,11 +644,15 @@ class ClusterCoordinator:
                 self.artifact_hits += 1
                 return {**cached, "from_artifact_cache": True}
             self.artifact_misses += 1
-        spec = {"left": ref}
-        candidates = self.replicas_for(routing_key_of(spec))
+        candidates = self.replicas_for(routing_key_of({"left": ref}))
         if not candidates:
             raise self._no_nodes()
-        result = await self._dispatch(candidates, "minimize", params)
+        result = await self._dispatch(
+            candidates,
+            "minimize",
+            {"process": ref, "notion": notion},
+            deadline=request.deadline_at(fields["deadline_ms"]),
+        )
         if self.store is not None and isinstance(digest, str):
             document = {k: v for k, v in result.items() if k != "from_artifact_cache"}
             try:
@@ -664,16 +668,16 @@ class ClusterCoordinator:
                     pass
         return result
 
+    @protocol.service_errors
     async def classify(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "classify needs a 'process' reference"
-            )
-        candidates = self.replicas_for(routing_key_of({"left": ref}))
+        fields = request.parse("classify", params)
+        candidates = self.replicas_for(routing_key_of({"left": fields["process"]}))
         if not candidates:
             raise self._no_nodes()
-        return await self._dispatch(candidates, "classify", params)
+        deadline = request.deadline_at(fields["deadline_ms"])
+        return await self._dispatch(
+            candidates, "classify", {"process": fields["process"]}, deadline=deadline
+        )
 
     async def stats(self) -> dict[str, Any]:
         """Coordinator counters plus whatever each live node reports."""

@@ -40,6 +40,7 @@ import json
 from typing import Any
 
 from repro.cluster.coordinator import ClusterCoordinator
+from repro.engine import request
 from repro.service import protocol
 from repro.service.metrics import MetricsRegistry
 
@@ -281,9 +282,7 @@ class ClusterGateway:
         data: dict[str, Any] | None = None,
     ) -> tuple[int, Any, dict[str, str]]:
         self._errors.labels(route, code).inc()
-        error: dict[str, Any] = {"code": code, "message": message}
-        if data:
-            error["data"] = data
+        error = protocol.error_body(code, message, data)
         extra: dict[str, str] = {}
         if code == protocol.OVERLOADED:
             retry_ms = (data or {}).get("retry_after_ms")
@@ -297,26 +296,16 @@ class ClusterGateway:
                 params = json.loads(body.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError):
                 return self._error(route, 400, protocol.BAD_REQUEST, "body is not valid JSON")
-            if not isinstance(params, dict):
-                return self._error(route, 400, protocol.BAD_REQUEST, "body must be a JSON object")
         else:
             params = {}
         try:
-            if op == "ping":
-                result = await self.coordinator.ping()
-            elif op == "stats":
-                result = await self.coordinator.stats()
-            elif op == "check":
-                result = await self.coordinator.check(params)
-            elif op == "check_many":
-                result = await self.coordinator.check_many(params)
-            elif op == "minimize":
-                result = await self.coordinator.minimize(params)
-            elif op == "classify":
-                result = await self.coordinator.classify(params)
-            else:  # store
-                result = await self.coordinator.store_process(params)
-        except protocol.ServiceError as error:
+            if op in ("ping", "stats"):
+                request.parse(op, params)  # no fields: anything sent is unknown
+                result = await getattr(self.coordinator, op)()
+            else:  # the coordinator's other operations parse their own params
+                name = "store_process" if op == "store" else op
+                result = await getattr(self.coordinator, name)(params)
+        except protocol.STRUCTURED_ERRORS as error:
             status = _STATUS_FOR_CODE.get(error.code, 500)
             return self._error(route, status, error.code, error.message, error.data or None)
         except Exception as error:  # pragma: no cover - defensive boundary

@@ -28,6 +28,7 @@ from repro.core.classify import require_same_signature
 from repro.core.fsp import FSP
 from repro.engine.notions import Notion, get_notion
 from repro.engine.process import Process
+from repro.engine.request import manifest_entry, minimize_notion, notion_params
 from repro.engine.verdict import (
     BatchResult,
     CheckStats,
@@ -108,20 +109,14 @@ class Engine:
         signatures raise, exactly like the classic free functions.
         ``witness=True`` attaches a checkable certificate on inequivalence.
         Notion-specific parameters (``k``, ``method``, search bounds) pass
-        through ``**params``; unknown ones raise :class:`TypeError`.
+        through ``**params``; unknown or mistyped ones raise
+        :class:`~repro.engine.request.RequestError` (a :class:`TypeError`).
         """
         notion_obj = get_notion(notion)
-        unknown = set(params) - set(notion_obj.param_names)
-        if unknown:
-            allowed = ", ".join(sorted(notion_obj.param_names)) or "none"
-            raise TypeError(
-                f"notion {notion_obj.name!r} does not accept parameter(s) "
-                f"{sorted(unknown)}; allowed: {allowed}"
-            )
-        # Canonicalise against the notion's declared defaults so that e.g.
+        # Canonicalised against the notion's declared defaults so that e.g.
         # check(p, q, "failure") and check(p, q, "failure",
         # max_macro_states=None) produce one cache key, not two.
-        params = notion_obj.normalize_params({**notion_obj.param_defaults, **params})
+        params = notion_params(notion_obj, params)
 
         left_p = self.process(left)
         right_p = self.process(right)
@@ -208,15 +203,15 @@ class Engine:
         begin = now()
         verdicts: list[Verdict] = []
         for index, item in enumerate(checks):
-            left, right, item_notion, params = _parse_check_spec(item, notion, index)
-            left = self._resolve_source(left, file_memo)
-            right = self._resolve_source(right, file_memo)
+            left, right, item_notion, params = manifest_entry(item, index, notion)
+            left = self._resolve_source(left, file_memo, f"check #{index}: 'left'")
+            right = self._resolve_source(right, file_memo, f"check #{index}: 'right'")
             verdicts.append(
                 self.check(left, right, item_notion, align=align, witness=witness, **params)
             )
         return BatchResult(tuple(verdicts), seconds=now() - begin)
 
-    def _resolve_source(self, source, file_memo: dict[Path, FSP]) -> FSP | Process:
+    def _resolve_source(self, source, file_memo: dict[Path, FSP], where: str) -> FSP | Process:
         if isinstance(source, (FSP, Process)):
             return source
         if isinstance(source, (str, Path)):
@@ -229,7 +224,7 @@ class Engine:
                 file_memo[path] = fsp
             return fsp
         raise TypeError(
-            f"a check entry must name an FSP, Process, or file path, not {type(source).__name__}"
+            f"{where} must name an FSP, Process, or file path, not {type(source).__name__}"
         )
 
     # ------------------------------------------------------------------
@@ -403,19 +398,18 @@ class Engine:
     ) -> FSP:
         """The cached quotient of a process under strong or observational equivalence.
 
+        ``notion`` goes through the registry, so aliases (``"weak"``,
+        ``"bisimulation"``) name the same quotient.
+
         ``backend="auto"`` (the default) dispatches by process size: the
         vector kernel above
         :data:`~repro.partition.generalized.VECTOR_STATE_THRESHOLD` states
         when numpy is available, the python solvers otherwise.
         """
         handle = self.process(source)
-        if notion == "strong":
+        if minimize_notion(notion) == "strong":
             return handle.minimized_strong(method, backend)
-        if notion == "observational":
-            return handle.minimized_observational(method, backend)
-        raise ValueError(
-            f"minimisation is defined for 'strong' and 'observational', not {notion!r}"
-        )
+        return handle.minimized_observational(method, backend)
 
     # ------------------------------------------------------------------
     # introspection
@@ -475,30 +469,6 @@ class Engine:
             f"verdicts={info['verdicts']}/{self.max_verdicts}, "
             f"hits={info['hits']}, misses={info['misses']})"
         )
-
-
-def _parse_check_spec(item, default_notion, index: int):
-    """Normalise one ``check_many`` entry to ``(left, right, notion, params)``."""
-    if isinstance(item, dict):
-        spec = dict(item)
-        try:
-            left = spec.pop("left")
-            right = spec.pop("right")
-        except KeyError as missing:
-            raise ValueError(
-                f"check #{index} is missing the {missing.args[0]!r} key"
-            ) from None
-        item_notion = spec.pop("notion", default_notion)
-        return left, right, item_notion, spec
-    if isinstance(item, (tuple, list)):
-        if len(item) == 2:
-            return item[0], item[1], default_notion, {}
-        if len(item) == 3:
-            return item[0], item[1], item[2], {}
-    raise ValueError(
-        f"check #{index} must be (left, right), (left, right, notion), or a mapping; "
-        f"got {type(item).__name__}"
-    )
 
 
 # ----------------------------------------------------------------------

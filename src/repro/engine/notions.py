@@ -83,8 +83,10 @@ class Notion(ABC):
     aliases: tuple[str, ...] = ()
     description: str = ""
     #: keyword parameters accepted by :meth:`check` with their defaults.  The
-    #: engine rejects unknown parameters and *canonicalises* the rest against
-    #: these defaults before caching, so ``check(p, q, "failure")`` and
+    #: engine rejects unknown parameters, types the rest by their defaults
+    #: (:func:`repro.engine.request.typed_param`: bool, int >= 0, solver,
+    #: optional bound or string) and *canonicalises* them against these
+    #: defaults before caching, so ``check(p, q, "failure")`` and
     #: ``check(p, q, "failure", max_macro_states=None)`` share one verdict.
     param_defaults: dict[str, Any] = {}
     #: whether expressions can be compared under this notion.
@@ -103,7 +105,10 @@ class Notion(ABC):
         """Decide the notion for the start states of two aligned processes."""
 
     def normalize_params(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Canonicalise parameters (also used as part of the cache key)."""
+        """Canonicalise typed parameters (also used as part of the cache key).
+
+        Override it for parameters whose default does not say their type.
+        """
         return params
 
     # -- star-expression hooks ------------------------------------------
@@ -123,14 +128,6 @@ class Notion(ABC):
         return f"<Notion {self.name!r}>"
 
 
-def _normalize_method(params: dict[str, Any]) -> dict[str, Any]:
-    method = params.get("method")
-    if method is not None and not isinstance(method, Solver):
-        params = dict(params)
-        params["method"] = Solver(method)
-    return params
-
-
 class StrongNotion(Notion):
     """Strong equivalence ``~`` (Section 3 / Theorem 3.1)."""
 
@@ -142,9 +139,6 @@ class StrongNotion(Notion):
         "require_observable": False,
         "backend": "auto",
     }
-
-    def normalize_params(self, params: dict[str, Any]) -> dict[str, Any]:
-        return _normalize_method(params)
 
     def check(
         self,
@@ -189,9 +183,6 @@ class ObservationalNotion(Notion):
     aliases = ("weak",)
     description = "observational (weak bisimulation) equivalence"
     param_defaults = {"method": Solver.PAIGE_TARJAN, "backend": "auto"}
-
-    def normalize_params(self, params: dict[str, Any]) -> dict[str, Any]:
-        return _normalize_method(params)
 
     def check(
         self,

@@ -314,36 +314,42 @@ def fault_from_document(document: dict) -> Fault:
     if not isinstance(document, dict) or "kind" not in document:
         raise InvalidProcessError(f"a fault document needs a 'kind': {document!r}")
     kind = document["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise InvalidProcessError(
             f"unknown fault kind {kind!r} (want one of {sorted(_KINDS)})"
         )
     fields = {k: v for k, v in document.items() if k != "kind"}
 
     def index_of(value):
-        return None if value is None else int(value)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise InvalidProcessError(f"fault 'index' must be an int, not {value!r}")
+        return value
 
     try:
         if kind == "crash":
-            return Crash(
+            fault: Fault = Crash(
                 role=str(fields.pop("role")),
                 index=index_of(fields.pop("index", None)),
                 at=fields.pop("at", None),
                 style=str(fields.pop("style", "stop")),
             )
-        if kind == "omission":
-            return Omission(channel=str(fields.pop("channel")))
-        if kind == "byzantine":
-            return Byzantine(
+        elif kind == "omission":
+            fault = Omission(channel=str(fields.pop("channel")))
+        elif kind == "byzantine":
+            fault = Byzantine(
                 role=str(fields.pop("role")), index=index_of(fields.pop("index", None))
             )
-        return Snag(
-            role=str(fields.pop("role")),
-            index=index_of(fields.pop("index", None)),
-            at=str(fields.pop("at")),
-            action=str(fields.pop("action", "snag")),
-        )
+        else:
+            fault = Snag(
+                role=str(fields.pop("role")),
+                index=index_of(fields.pop("index", None)),
+                at=str(fields.pop("at")),
+                action=str(fields.pop("action", "snag")),
+            )
     except KeyError as missing:
         raise InvalidProcessError(
             f"fault document for kind {kind!r} is missing field {missing}"
         ) from None
+    if fields:
+        raise InvalidProcessError(f"unknown key(s) {sorted(fields)} in a {kind!r} fault document")
+    return fault

@@ -346,21 +346,34 @@ def build_scenario(
     return SCENARIOS[name](**kwargs)
 
 
+#: the keys of a scenario document (see :func:`system_from_document`)
+DOCUMENT_KEYS = ("name", "n", "f", "side", "faults")
+
+
 def scenario_from_document(document) -> Scenario:
     """Build a scenario from a JSON document (``"name"`` plus optional sizes).
 
     Accepts a bare scenario name or a mapping like
-    ``{"name": "quorum_voting", "n": 5, "f": 2}``.
+    ``{"name": "quorum_voting", "n": 5, "f": 2}``.  The mapping is strict:
+    a key outside :data:`DOCUMENT_KEYS`, or a size that is not an int, is
+    rejected rather than ignored.
     """
     if isinstance(document, str):
         return build_scenario(document)
-    if not isinstance(document, dict) or "name" not in document:
+    if not isinstance(document, dict) or not isinstance(document.get("name"), str):
         raise InvalidProcessError(
             f"a scenario document is a name or a mapping with a 'name': {document!r}"
         )
-    return build_scenario(
-        str(document["name"]), document.get("n"), document.get("f")
-    )
+    unknown = sorted(set(document) - set(DOCUMENT_KEYS))
+    if unknown:
+        raise InvalidProcessError(
+            f"unknown scenario document key(s) {unknown}; keys: {', '.join(DOCUMENT_KEYS)}"
+        )
+    for key in ("n", "f"):
+        value = document.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise InvalidProcessError(f"scenario {key!r} must be an int, not {value!r}")
+    return build_scenario(document["name"], document.get("n"), document.get("f"))
 
 
 def system_from_document(document) -> SystemSpec:
@@ -375,16 +388,17 @@ def system_from_document(document) -> SystemSpec:
     side = "implementation"
     faults = ()
     if isinstance(document, dict):
-        side = str(document.get("side", side))
-        faults = tuple(
-            fault_from_document(doc) for doc in document.get("faults", ())
-        )
+        side = document.get("side", side)
+        faults = document.get("faults", [])
+        if not isinstance(faults, list):
+            raise InvalidProcessError(f"scenario 'faults' must be a list, not {faults!r}")
+        faults = tuple(fault_from_document(doc) for doc in faults)
     sides = {
         "implementation": scenario.system,
         "spec": scenario.spec,
         "mutant": scenario.mutant,
     }
-    if side not in sides:
+    if not isinstance(side, str) or side not in sides:
         raise InvalidProcessError(
             f"unknown scenario side {side!r} (choose from {', '.join(sorted(sides))})"
         )

@@ -51,7 +51,126 @@ def _overload_hint(error: Exception) -> Any:
     return False
 
 
-class ServiceClient:
+class Operations:
+    """The RPCs every client sends, encoded once.
+
+    A subclass supplies the transport as ``request(op, params)``: NDJSON
+    frames for :class:`ServiceClient`, HTTP POSTs for
+    :class:`~repro.cluster.client.ClusterClient`.  Field names and defaults
+    are those of :data:`repro.engine.request.OPERATIONS`.
+    """
+
+    def request(self, op: str, params: dict[str, Any] | None = None) -> Any:
+        raise NotImplementedError
+
+    def ping(self) -> dict[str, Any]:
+        """Liveness probe; returns the server's version and shard count."""
+        return self.request("ping")
+
+    def check(
+        self,
+        left: ProcessLike,
+        right: ProcessLike,
+        notion: str = "observational",
+        *,
+        align: bool = True,
+        witness: bool = False,
+        on_the_fly: bool | None = None,
+        reduction: str | None = None,
+        deadline_ms: float | None = None,
+        **params: Any,
+    ) -> dict[str, Any]:
+        """Decide one equivalence; returns the serialised verdict dict.
+
+        Operands may also be composed systems
+        (:class:`~repro.explore.system.SystemSpec` values or
+        ``{"system": ...}`` documents); those default to the server's
+        on-the-fly route, and ``on_the_fly`` overrides the route either way.
+        ``reduction`` requests a state-space reduction on the lazy route
+        (``"none"``/``"por"``/``"symmetry"``/``"full"``; the mode actually
+        applied comes back in the verdict's ``reduction`` field).
+        ``deadline_ms`` bounds the check: past it, the worker aborts
+        cooperatively and the call raises a ``deadline_exceeded``
+        :class:`~repro.service.protocol.ServiceError`.  Notion parameters
+        (``k``, ``method``, ...) travel as ``params``.
+        """
+        # Unset fields travel as null, which the declaration reads as unset.
+        return self.request(
+            "check",
+            {
+                "left": protocol.process_ref(left),
+                "right": protocol.process_ref(right),
+                "notion": notion,
+                "align": align,
+                "witness": witness,
+                "on_the_fly": on_the_fly,
+                "reduction": reduction,
+                "params": params,
+                "deadline_ms": deadline_ms,
+            },
+        )
+
+    def check_many(
+        self,
+        checks: list[tuple | dict],
+        *,
+        notion: str = "observational",
+        align: bool = True,
+        witness: bool = False,
+        reduction: str | None = None,
+        deadline_ms: float | None = None,
+    ) -> dict[str, Any]:
+        """Run a manifest of checks; returns ``{"results": [...], "summary": {...}}``.
+
+        Each entry is ``(left, right)``, ``(left, right, notion)``, or a dict
+        with ``left`` / ``right`` and any other per-entry check field
+        (``notion``, ``params``, ...).  ``notion``, ``align``, ``witness`` and
+        ``reduction`` are batch defaults each entry may override;
+        ``deadline_ms`` applies one absolute deadline to the whole batch, and
+        checks that miss it report ``deadline_exceeded`` inline.
+        """
+        entries = []
+        for index, item in enumerate(checks):
+            if isinstance(item, dict):
+                entry = dict(item)
+            elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
+                entry = dict(zip(("left", "right", "notion"), item))
+            else:
+                raise ValueError(f"check #{index} must be (left, right[, notion]) or a mapping")
+            entry["left"] = protocol.process_ref(entry["left"])
+            entry["right"] = protocol.process_ref(entry["right"])
+            entries.append(entry)
+        return self.request(
+            "check_many",
+            {
+                "checks": entries,
+                "notion": notion,
+                "align": align,
+                "witness": witness,
+                "reduction": reduction,
+                "deadline_ms": deadline_ms,
+            },
+        )
+
+    def minimize(self, process: ProcessLike, notion: str = "observational") -> FSP:
+        """The quotient of a process under strong/observational equivalence."""
+        return from_dict(self.minimize_info(process, notion)["process"])
+
+    def minimize_info(self, process: ProcessLike, notion: str = "observational") -> dict[str, Any]:
+        """Minimise, returning the raw result document (sizes, cache flags)."""
+        ref = protocol.process_ref(process)
+        return self.request("minimize", {"process": ref, "notion": notion})
+
+    def classify(self, process: ProcessLike) -> list[str]:
+        """The model classes of a process (Fig. 1a hierarchy), as strings."""
+        return self.request("classify", {"process": protocol.process_ref(process)})["classes"]
+
+    def stats(self) -> dict[str, Any]:
+        """Server totals plus per-shard (or per-node) statistics."""
+        return self.request("stats")
+
+
+class ServiceClient(Operations):
     """One connection to a running equivalence service.
 
     ``overload_retries`` bounds how many times an ``overloaded`` response is
@@ -127,122 +246,12 @@ class ServiceClient:
         self.close()
 
     # ------------------------------------------------------------------
-    # operations
+    # operations beyond the shared ones
     # ------------------------------------------------------------------
-    def ping(self) -> dict[str, Any]:
-        """Liveness probe; returns the server's version and shard count."""
-        return self.request("ping")
-
     def store(self, process: FSP | dict) -> str:
         """Upload a process; returns its content digest for later references."""
         ref = protocol.process_ref(process)
         return self.request("store", {"process": ref["process"]})["digest"]
-
-    def check(
-        self,
-        left: ProcessLike,
-        right: ProcessLike,
-        notion: str = "observational",
-        *,
-        align: bool = True,
-        witness: bool = False,
-        on_the_fly: bool | None = None,
-        reduction: str | None = None,
-        deadline_ms: float | None = None,
-        **params: Any,
-    ) -> dict[str, Any]:
-        """Decide one equivalence; returns the serialised verdict dict.
-
-        Operands may also be composed systems
-        (:class:`~repro.explore.system.SystemSpec` values or
-        ``{"system": ...}`` documents); those default to the server's
-        on-the-fly route, and ``on_the_fly`` overrides the route either way.
-        ``reduction`` requests a state-space reduction on the lazy route
-        (``"none"``/``"por"``/``"symmetry"``/``"full"``; the mode actually
-        applied comes back in the verdict's ``reduction`` field).
-        ``deadline_ms`` bounds the check: past it, the worker aborts
-        cooperatively and the call raises a ``deadline_exceeded``
-        :class:`~repro.service.protocol.ServiceError`.
-        """
-        request: dict[str, Any] = {
-            "left": protocol.process_ref(left),
-            "right": protocol.process_ref(right),
-            "notion": notion,
-            "align": align,
-            "witness": witness,
-            "params": params,
-        }
-        if on_the_fly is not None:
-            request["on_the_fly"] = on_the_fly
-        if reduction is not None:
-            request["reduction"] = reduction
-        if deadline_ms is not None:
-            request["deadline_ms"] = deadline_ms
-        return self.request("check", request)
-
-    def check_many(
-        self,
-        checks: list[tuple | dict],
-        *,
-        notion: str = "observational",
-        align: bool = True,
-        witness: bool = False,
-        reduction: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict[str, Any]:
-        """Run a manifest of checks; returns ``{"results": [...], "summary": {...}}``.
-
-        Each entry is ``(left, right)``, ``(left, right, notion)``, or a dict
-        with ``left`` / ``right`` / optional ``notion`` / ``params``.
-        ``reduction`` sets the batch-default state-space reduction (each
-        entry may override it).  ``deadline_ms`` applies one absolute
-        deadline to the whole batch; checks that miss it report
-        ``deadline_exceeded`` inline.
-        """
-        encoded = []
-        for index, item in enumerate(checks):
-            if isinstance(item, dict):
-                entry = dict(item)
-                entry["left"] = protocol.process_ref(entry["left"])
-                entry["right"] = protocol.process_ref(entry["right"])
-            elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
-                entry = {
-                    "left": protocol.process_ref(item[0]),
-                    "right": protocol.process_ref(item[1]),
-                }
-                if len(item) == 3:
-                    entry["notion"] = item[2]
-            else:
-                raise ValueError(
-                    f"check #{index} must be (left, right[, notion]) or a mapping"
-                )
-            encoded.append(entry)
-        params: dict[str, Any] = {
-            "checks": encoded,
-            "notion": notion,
-            "align": align,
-            "witness": witness,
-        }
-        if reduction is not None:
-            params["reduction"] = reduction
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("check_many", params)
-
-    def minimize(self, process: ProcessLike, notion: str = "observational") -> FSP:
-        """The quotient of a process under strong/observational equivalence."""
-        result = self.request(
-            "minimize", {"process": protocol.process_ref(process), "notion": notion}
-        )
-        return from_dict(result["process"])
-
-    def classify(self, process: ProcessLike) -> list[str]:
-        """The model classes of a process (Fig. 1a hierarchy), as strings."""
-        return self.request("classify", {"process": protocol.process_ref(process)})["classes"]
-
-    def stats(self) -> dict[str, Any]:
-        """Server totals plus per-shard engine/store cache statistics."""
-        return self.request("stats")
 
     def metrics(self) -> dict[str, Any]:
         """The server's metrics registry snapshot (the ``metrics`` RPC)."""

@@ -34,10 +34,13 @@ framing and error vocabulary live in exactly one place.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
 from repro.core.fsp import FSP
+from repro.engine import request
+from repro.engine.request import BAD_REQUEST, CHECK_FAILED, RequestError
 from repro.utils.serialization import from_dict, to_dict
 
 #: Upper bound on one frame (request or response line), in bytes.
@@ -48,21 +51,21 @@ MAX_FRAME_BYTES = 32 * 1024 * 1024
 #: show it without importing the asyncio/multiprocessing stack.
 DEFAULT_PORT = 8319
 
-#: The operations the server understands (``docs/service-protocol.md``).
-OPERATIONS = ("ping", "store", "check", "check_many", "minimize", "classify", "stats", "metrics")
+#: The operations the server understands (``docs/service-protocol.md``);
+#: their fields are declared in :data:`repro.engine.request.OPERATIONS`.
+OPERATIONS = tuple(request.OPERATIONS)
 
 # -- error codes -------------------------------------------------------
-#: request line was not valid JSON, not an object, or missing/over-long.
-BAD_REQUEST = "bad_request"
+# BAD_REQUEST (a frame that is not JSON, not an object or over-long, or a
+# request field that is unknown, missing or mistyped) and CHECK_FAILED (the
+# check itself was rejected: unknown notion, bad parameter, signature
+# mismatch, state-space bound exceeded) come from repro.engine.request.
 #: ``op`` is not one of :data:`OPERATIONS`.
 UNKNOWN_OP = "unknown_op"
 #: an inline process violates Definition 2.1.1 or is malformed.
 INVALID_PROCESS = "invalid_process"
 #: a ``digest`` reference names nothing in the server's store.
 UNKNOWN_DIGEST = "unknown_digest"
-#: the check itself was rejected (unknown notion, bad parameter, signature
-#: mismatch, state-space bound exceeded).
-CHECK_FAILED = "check_failed"
 #: the request's deadline passed before (or while) the worker served it.
 DEADLINE_EXCEEDED = "deadline_exceeded"
 #: the server is shedding load: a shard queue is full or the client has
@@ -150,14 +153,52 @@ def ok_response(request_id: Any, result: dict[str, Any]) -> bytes:
     return encode_frame({"id": request_id, "ok": True, "result": result})
 
 
-def error_response(
-    request_id: Any, code: str, message: str, data: dict[str, Any] | None = None
-) -> bytes:
-    """Encode one error response line (``data`` is optional extra context)."""
+def error_body(code: str, message: str, data: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The ``error`` object of a response (``data`` is optional extra context)."""
     error: dict[str, Any] = {"code": code, "message": message}
     if data:
         error["data"] = data
-    return encode_frame({"id": request_id, "ok": False, "error": error})
+    return error
+
+
+def error_response(
+    request_id: Any, code: str, message: str, data: dict[str, Any] | None = None
+) -> bytes:
+    """Encode one error response line."""
+    return encode_frame({"id": request_id, "ok": False, "error": error_body(code, message, data)})
+
+
+#: The structured errors a request can raise on its way in: the server's own
+#: and the request declaration's; both carry ``code``, ``message``, ``data``.
+STRUCTURED_ERRORS = (ServiceError, RequestError)
+
+
+def service_errors(operation):
+    """Decorate an async operation: request-declaration errors surface as ServiceError."""
+
+    @functools.wraps(operation)
+    async def wrapper(*args, **kwargs):
+        try:
+            return await operation(*args, **kwargs)
+        except RequestError as error:
+            raise ServiceError(error.code, error.message, error.data) from None
+
+    return wrapper
+
+
+def batch_result(results: list[dict[str, Any]]) -> dict[str, Any]:
+    """A ``check_many`` result: the per-check results in order, plus a summary."""
+    equivalent = sum(1 for r in results if r.get("equivalent") is True)
+    failed = sum(1 for r in results if "error" in r)
+    return {
+        "results": list(results),
+        "summary": {
+            "checks": len(results),
+            "equivalent": equivalent,
+            "inequivalent": len(results) - equivalent - failed,
+            "failed": failed,
+        },
+    }
 
 
 def parse_request(line: bytes) -> tuple[Any, str, dict[str, Any]]:
@@ -181,17 +222,19 @@ def validate_request(document: dict[str, Any]) -> tuple[str, dict[str, Any]]:
 
     Split from :func:`parse_request` so the server can extract the request
     id from the frame *before* validation -- an error response echoes the id
-    even when the op is unknown.
+    even when the op is unknown.  The envelope is checked against
+    :data:`repro.engine.request.FRAME` (unknown fields are rejected); the
+    params are the op's to parse.
     """
-    op = document.get("op")
-    if not isinstance(op, str):
-        raise ServiceError(BAD_REQUEST, "request must carry a string 'op' field")
-    if op not in OPERATIONS:
-        raise ServiceError(UNKNOWN_OP, f"unknown op {op!r}; supported: {', '.join(OPERATIONS)}")
-    params = document.get("params", {})
-    if not isinstance(params, dict):
-        raise ServiceError(BAD_REQUEST, "'params' must be a JSON object when present")
-    return op, params
+    try:
+        frame = request.read_fields("request", request.FRAME, document)
+    except RequestError as error:
+        raise ServiceError(error.code, error.message, error.data) from None
+    if frame["op"] not in OPERATIONS:
+        raise ServiceError(
+            UNKNOWN_OP, f"unknown op {frame['op']!r}; supported: {', '.join(OPERATIONS)}"
+        )
+    return frame["op"], frame["params"]
 
 
 def parse_response(line: bytes) -> tuple[Any, dict[str, Any]]:
@@ -267,30 +310,23 @@ def resolve_operand(ref: Any, store=None):
     system (:func:`repro.protocols.system_from_document`); everything else
     behaves exactly like :func:`resolve_ref`.
     """
-    if isinstance(ref, dict) and "scenario" in ref:
-        from repro.core.errors import ReproError
-        from repro.protocols import system_from_document
+    if not (isinstance(ref, dict) and ("scenario" in ref or "system" in ref)):
+        return resolve_ref(ref, store)
+    from repro.core.errors import ReproError
+    from repro.explore.system import spec_from_document
+    from repro.protocols import system_from_document
 
-        try:
+    kind = "scenario" if "scenario" in ref else "system"
+    try:
+        if kind == "scenario":
             return system_from_document(ref["scenario"])
-        except ReproError as error:
-            raise ServiceError(
-                INVALID_PROCESS, f"scenario reference rejected: {error}"
-            ) from None
-    if isinstance(ref, dict) and "system" in ref:
-        # ReproError covers the whole parse surface: malformed documents
-        # (InvalidProcessError) and unparsable {"term": ...} leaves
-        # (ExpressionError) are both client input errors, not server bugs.
-        from repro.core.errors import ReproError
-        from repro.explore.system import spec_from_document
-
-        try:
-            return spec_from_document(ref["system"], lambda leaf: resolve_ref(leaf, store))
-        except ServiceError:
-            raise  # a leaf's digest/process error keeps its own code
-        except ReproError as error:
-            raise ServiceError(INVALID_PROCESS, f"system reference rejected: {error}") from None
-    return resolve_ref(ref, store)
+        return spec_from_document(ref["system"], lambda leaf: resolve_ref(leaf, store))
+    except ServiceError:
+        raise  # a leaf's digest/process error keeps its own code
+    except (ReproError, ValueError, TypeError, LookupError, AttributeError) as error:
+        # Every failure to parse the document is the client's: malformed
+        # documents, unparsable {"term": ...} leaves, values of the wrong type.
+        raise ServiceError(INVALID_PROCESS, f"{kind} reference rejected: {error}") from None
 
 
 def resolve_ref(ref: Any, store=None) -> FSP:
@@ -302,8 +338,8 @@ def resolve_ref(ref: Any, store=None) -> FSP:
     Raises
     ------
     ServiceError
-        :data:`INVALID_PROCESS` for malformed inline processes,
-        :data:`UNKNOWN_DIGEST` for unresolvable digests.
+        :data:`INVALID_PROCESS` for malformed references and inline
+        processes, :data:`UNKNOWN_DIGEST` for unresolvable digests.
     """
     if not isinstance(ref, dict):
         raise ServiceError(
@@ -318,6 +354,10 @@ def resolve_ref(ref: Any, store=None) -> FSP:
             raise ServiceError(INVALID_PROCESS, f"inline process rejected: {error}") from None
     if "digest" in ref:
         digest = ref["digest"]
+        if not isinstance(digest, str):
+            raise ServiceError(
+                INVALID_PROCESS, f"a digest is a 'sha256:...' string, not {type(digest).__name__}"
+            )
         if store is None:
             raise ServiceError(UNKNOWN_DIGEST, "this endpoint has no process store")
         try:

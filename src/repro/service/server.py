@@ -46,6 +46,7 @@ from collections import OrderedDict
 from typing import IO, Any
 
 from repro import __version__
+from repro.engine import request
 from repro.service import flow, protocol
 from repro.service.metrics import MetricsRegistry, TraceLog
 from repro.service.protocol import DEFAULT_PORT
@@ -301,8 +302,9 @@ class EquivalenceServer:
             request_id = document.get("id")
             op, params = protocol.validate_request(document)
             self._requests += 1
-            self._enforce_quota(peer, op, params)
-            result = await self._dispatch(op, params)
+            fields = request.parse(op, params)
+            self._enforce_quota(peer, op, fields)
+            result = await self._dispatch(op, fields)
             self._observe(op, None, started)
             self._trace_record(request_id, peer, op, "ok", started, result)
             return protocol.ok_response(request_id, result)
@@ -310,7 +312,7 @@ class EquivalenceServer:
             self._observe(op, protocol.BAD_REQUEST, started)
             self._trace_record(request_id, peer, op, protocol.BAD_REQUEST, started, None)
             return protocol.error_response(request_id, protocol.BAD_REQUEST, str(error))
-        except protocol.ServiceError as error:
+        except protocol.STRUCTURED_ERRORS as error:
             self._observe(op, error.code, started)
             self._trace_record(request_id, peer, op, error.code, started, None)
             return protocol.error_response(request_id, error.code, error.message, error.data)
@@ -322,7 +324,7 @@ class EquivalenceServer:
     # ------------------------------------------------------------------
     # flow control and observability
     # ------------------------------------------------------------------
-    def _enforce_quota(self, peer: str, op: str, params: dict[str, Any]) -> None:
+    def _enforce_quota(self, peer: str, op: str, fields: dict[str, Any]) -> None:
         """Charge one client's token bucket for a compute op (or reject)."""
         if self._quota_rps is None or op in QUOTA_EXEMPT_OPS:
             return
@@ -334,11 +336,7 @@ class EquivalenceServer:
             if len(self._buckets) > MAX_QUOTA_CLIENTS:
                 self._buckets.popitem(last=False)
         self._buckets.move_to_end(peer)
-        cost = 1.0
-        if op == "check_many":
-            checks = params.get("checks")
-            if isinstance(checks, list):
-                cost = float(max(1, len(checks)))
+        cost = float(max(1, len(fields["checks"]))) if op == "check_many" else 1.0
         wait = bucket.try_acquire(cost)
         if wait > 0:
             raise protocol.ServiceError(
@@ -393,18 +391,6 @@ class EquivalenceServer:
                 fields["cache"] = "hit" if result.get("from_cache") else "miss"
         self._trace.record(**fields)
 
-    @staticmethod
-    def _deadline_from(params: dict[str, Any]) -> float | None:
-        """``deadline_ms`` (a duration) as an absolute monotonic instant."""
-        value = params.get("deadline_ms")
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "'deadline_ms' must be a positive number of milliseconds"
-            )
-        return time.monotonic() + float(value) / 1000.0
-
     async def _run_with_watchdog(self, shard: int, deadline: float | None, fn, *args) -> Any:
         """``pool.run_async`` bounded by a server-side deadline.
 
@@ -426,126 +412,61 @@ class EquivalenceServer:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    async def _dispatch(self, op: str, params: dict[str, Any]) -> dict[str, Any]:
+    async def _dispatch(self, op: str, fields: dict[str, Any]) -> dict[str, Any]:
+        """Serve one parsed request (``fields``: :func:`repro.engine.request.parse`)."""
+        deadline = request.deadline_at(fields.get("deadline_ms"))
         if op == "ping":
             pong = {"pong": True, "version": __version__, "shards": self.pool.num_shards}
             if self.node_name is not None:
                 pong["node"] = self.node_name
             return pong
         if op == "store":
-            return await self._op_store(params)
+            return await asyncio.to_thread(self._put, fields["process"])
         if op == "check":
-            return await self._op_check(params)
+            return await self._run_check(request.check_spec(fields), deadline)
         if op == "check_many":
-            return await self._op_check_many(params)
+            return await self._op_check_many(fields["checks"], deadline)
         if op == "minimize":
-            return await self._op_minimize(params)
-        if op == "classify":
-            return await self._op_classify(params)
-        if op == "stats":
+            notion = request.minimize_notion(fields["notion"])
+            job: tuple = (_worker_minimize, fields["process"], notion)
+        elif op == "classify":
+            job = (_worker_classify, fields["process"])
+        elif op == "stats":
             return await self._op_stats()
-        if op == "metrics":
+        else:
             return {"metrics": self.registry.snapshot()}
-        raise protocol.ServiceError(protocol.UNKNOWN_OP, f"unhandled op {op!r}")  # unreachable
+        shard = self.pool.route_check({"left": fields["process"]})
+        return await self._run_with_watchdog(shard, deadline, *job)
 
-    async def _op_store(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "store needs a 'process' (inline serialised FSP)"
-            )
-
-        def put() -> dict[str, Any]:
-            # Validation, digesting and the disk write are CPU/IO work; run
-            # them off the event loop so a large upload cannot stall other
-            # connections (the store's cache bookkeeping is lock-protected).
-            fsp = protocol.resolve_ref({"process": ref})
-            digest = self.store.put(fsp)
-            return {
-                "digest": digest,
-                "states": fsp.num_states,
-                "transitions": fsp.num_transitions,
-            }
-
-        return await asyncio.to_thread(put)
-
-    @staticmethod
-    def _check_spec(params: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any]:
-        """Normalise one check's parameters into a worker job spec."""
-        spec = {
-            "left": params.get("left"),
-            "right": params.get("right"),
-            "notion": params.get("notion", defaults.get("notion", "observational")),
-            "align": bool(params.get("align", defaults.get("align", True))),
-            "witness": bool(params.get("witness", defaults.get("witness", False))),
-            # None means "decide by operand shape": composed-system operands
-            # take the lazy route, plain processes the cached eager route.
-            "on_the_fly": params.get("on_the_fly", defaults.get("on_the_fly")),
-            "params": params.get("params", {}),
+    def _put(self, ref: dict[str, Any]) -> dict[str, Any]:
+        # Validation, digesting and the disk write are CPU/IO work, run off
+        # the event loop so a large upload cannot stall other connections
+        # (the store's cache bookkeeping is lock-protected).
+        fsp = protocol.resolve_ref({"process": ref})
+        return {
+            "digest": self.store.put(fsp),
+            "states": fsp.num_states,
+            "transitions": fsp.num_transitions,
         }
-        reduction = params.get("reduction", defaults.get("reduction"))
-        if reduction is not None:
-            # Validated here so a typo answers as bad_request instead of
-            # silently running the unreduced route in the worker.
-            from repro.core.errors import InvalidProcessError
-            from repro.explore.reduce import normalize_reduction
 
-            try:
-                spec["reduction"] = normalize_reduction(reduction)
-            except InvalidProcessError as error:
-                raise protocol.ServiceError(protocol.BAD_REQUEST, str(error)) from None
-        if spec["left"] is None or spec["right"] is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "a check needs 'left' and 'right' process references"
-            )
-        if not isinstance(spec["params"], dict):
-            raise protocol.ServiceError(protocol.BAD_REQUEST, "'params' must be a JSON object")
-        return spec
-
-    async def _op_check(self, params: dict[str, Any]) -> dict[str, Any]:
-        spec = self._check_spec(params, {})
-        deadline = self._deadline_from(params)
+    async def _run_check(self, spec: dict[str, Any], deadline: float | None) -> dict[str, Any]:
         result = await self.pool.run_async_check(spec, deadline=deadline)
         self._observe_check(result)
         return result
 
-    async def _op_check_many(self, params: dict[str, Any]) -> dict[str, Any]:
-        checks = params.get("checks")
-        if not isinstance(checks, list):
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "check_many needs a 'checks' list of check objects"
-            )
-        defaults = {
-            "notion": params.get("notion", "observational"),
-            "align": params.get("align", True),
-            "witness": params.get("witness", False),
-            "on_the_fly": params.get("on_the_fly"),
-            "reduction": params.get("reduction"),
-        }
+    async def _op_check_many(
+        self, checks: list[dict[str, Any]], deadline: float | None
+    ) -> dict[str, Any]:
         # One deadline for the whole batch: every spec gets the same
         # absolute instant, so stragglers abort together.
-        deadline = self._deadline_from(params)
-        specs = []
-        for index, item in enumerate(checks):
-            if not isinstance(item, dict):
-                raise protocol.ServiceError(
-                    protocol.BAD_REQUEST, f"check #{index} must be an object"
-                )
-            specs.append(self._check_spec(item, defaults))
-
-        async def one(spec: dict[str, Any]) -> dict[str, Any]:
+        async def one(check: dict[str, Any]) -> dict[str, Any]:
             from concurrent.futures.process import BrokenProcessPool
 
             try:
-                result = await self.pool.run_async_check(spec, deadline=deadline)
-                self._observe_check(result)
-                return result
-            except protocol.ServiceError as error:
+                return await self._run_check(request.check_spec(check), deadline)
+            except protocol.STRUCTURED_ERRORS as error:
                 # Per-check failure: reported inline, the batch continues.
-                inline: dict[str, Any] = {"code": error.code, "message": error.message}
-                if error.data:
-                    inline["data"] = error.data
-                return {"error": inline}
+                return {"error": protocol.error_body(error.code, error.message, error.data)}
             except BrokenProcessPool:
                 # The spec killed its worker even after the revive-and-retry:
                 # report it inline rather than poisoning the whole batch.
@@ -560,39 +481,7 @@ class EquivalenceServer:
                 # is also confined to its own slot of the batch.
                 return {"error": {"code": protocol.INTERNAL, "message": repr(error)}}
 
-        results = await asyncio.gather(*(one(spec) for spec in specs))
-        equivalent = sum(1 for r in results if r.get("equivalent") is True)
-        failed = sum(1 for r in results if "error" in r)
-        return {
-            "results": list(results),
-            "summary": {
-                "checks": len(results),
-                "equivalent": equivalent,
-                "inequivalent": len(results) - equivalent - failed,
-                "failed": failed,
-            },
-        }
-
-    async def _op_minimize(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "minimize needs a 'process' reference"
-            )
-        notion = params.get("notion", "observational")
-        deadline = self._deadline_from(params)
-        shard = self.pool.route_check({"left": ref})
-        return await self._run_with_watchdog(shard, deadline, _worker_minimize, ref, notion)
-
-    async def _op_classify(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "classify needs a 'process' reference"
-            )
-        deadline = self._deadline_from(params)
-        shard = self.pool.route_check({"left": ref})
-        return await self._run_with_watchdog(shard, deadline, _worker_classify, ref)
+        return protocol.batch_result(await asyncio.gather(*(one(check) for check in checks)))
 
     async def _op_stats(self) -> dict[str, Any]:
         from repro.service.shards import _worker_stats

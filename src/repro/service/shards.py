@@ -70,6 +70,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
+from repro.engine import request
 from repro.service import flow, protocol
 from repro.service.store import ProcessStore
 
@@ -182,6 +183,10 @@ def _guarded(fn, *args) -> Any:
         ) from None
 
 
+#: every check field's declared default (:data:`repro.engine.request.CHECK`)
+_CHECK_DEFAULTS = {field.name: field.default for field in request.CHECK}
+
+
 def _worker_check(spec: dict[str, Any]) -> dict[str, Any]:
     """Run one check inside the worker; returns a JSON-compatible verdict.
 
@@ -194,29 +199,27 @@ def _worker_check(spec: dict[str, Any]) -> dict[str, Any]:
     from repro.core.errors import ReproError
     from repro.explore.system import SystemSpec, compose_eager
 
-    enqueued = spec.get("enqueued")
+    # A spec from repro.engine.request.check_spec carries every check field;
+    # the declared defaults complete specs built by hand.
+    job = {**_CHECK_DEFAULTS, **spec}
+    enqueued = job.get("enqueued")
     queue_wait = max(0.0, time.monotonic() - enqueued) if enqueued is not None else None
     # The scope covers operand resolution too: a store read for a job that
     # already out-queued its deadline is work the client will never see.
-    with flow.deadline_scope(spec.get("deadline")):
-        left = protocol.resolve_operand(spec["left"], _WORKER.get("store"))
-        right = protocol.resolve_operand(spec["right"], _WORKER.get("store"))
+    with flow.deadline_scope(job.get("deadline")):
+        left = protocol.resolve_operand(job["left"], _WORKER.get("store"))
+        right = protocol.resolve_operand(job["right"], _WORKER.get("store"))
         engine = _WORKER["engine"]
         composed = isinstance(left, SystemSpec) or isinstance(right, SystemSpec)
-        on_the_fly = spec.get("on_the_fly")
+        on_the_fly = job["on_the_fly"]
         lazy = bool(on_the_fly) or (on_the_fly is None and composed)
-        reduction = spec.get("reduction")
         try:
             if lazy:
-                extra = dict(spec.get("params", {}))
-                if reduction is not None:
-                    extra["reduction"] = reduction
+                extra = dict(job["params"])
+                if job["reduction"] is not None:
+                    extra["reduction"] = job["reduction"]
                 verdict = engine.check_on_the_fly(
-                    left,
-                    right,
-                    spec.get("notion", "observational"),
-                    witness=bool(spec.get("witness", False)),
-                    **extra,
+                    left, right, job["notion"], witness=job["witness"], **extra
                 )
             else:
                 if isinstance(left, SystemSpec):
@@ -226,10 +229,10 @@ def _worker_check(spec: dict[str, Any]) -> dict[str, Any]:
                 verdict = engine.check(
                     left,
                     right,
-                    spec.get("notion", "observational"),
-                    align=bool(spec.get("align", True)),
-                    witness=bool(spec.get("witness", False)),
-                    **spec.get("params", {}),
+                    job["notion"],
+                    align=job["align"],
+                    witness=job["witness"],
+                    **job["params"],
                 )
         except flow.DeadlineExceeded:
             raise

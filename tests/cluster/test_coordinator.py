@@ -442,3 +442,108 @@ def test_check_many_requires_a_checks_list():
         return excinfo.value
 
     assert asyncio.run(scenario()).code == protocol.BAD_REQUEST
+
+
+# ----------------------------------------------------------------------
+# one deadline budget across failovers
+# ----------------------------------------------------------------------
+class DroppingNode:
+    """A node that reads one request, stalls, then drops the connection."""
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.requests: list[dict] = []
+        self.server: asyncio.AbstractServer | None = None
+        self.port = 0
+
+    async def start(self) -> None:
+        async def handle(reader, writer):
+            line = await reader.readline()
+            if line:
+                self.requests.append(protocol.parse_request(line)[2])
+            await asyncio.sleep(self.delay)
+            writer.close()
+
+        self.server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        self.port = self.server.sockets[0].getsockname()[1]
+
+    async def stop(self) -> None:
+        self.server.close()
+        await self.server.wait_closed()
+
+
+def _failover_check(deadline_ms: float, delay: float):
+    """A check whose primary stalls ``delay`` s and dies; returns what each node saw."""
+    params = {
+        "left": {"digest": DIGEST_A},
+        "right": {"digest": DIGEST_B},
+        "deadline_ms": deadline_ms,
+    }
+
+    async def scenario():
+        slow, live = DroppingNode(delay), FakeNode(lambda op, p: {"equivalent": True})
+        await slow.start()
+        await live.start()
+        coordinator = ClusterCoordinator(
+            {"a": ("127.0.0.1", slow.port), "b": ("127.0.0.1", live.port)}, replication_factor=2
+        )
+        primary = coordinator.replicas_for(routing_key_of(params))[0].node_id
+        if primary == "b":  # make the slow node the primary, whichever the ring picks
+            coordinator.nodes["a"].link.port = live.port
+            coordinator.nodes["b"].link.port = slow.port
+        try:
+            outcome = await coordinator.check(params)
+        except protocol.ServiceError as error:
+            outcome = error
+        finally:
+            await coordinator.stop()
+            await slow.stop()
+            await live.stop()
+        return outcome, slow.requests, [p for op, p in live.requests if op == "check"]
+
+    return asyncio.run(scenario())
+
+
+def test_failover_sends_only_the_remaining_deadline_budget():
+    result, slow_seen, live_seen = _failover_check(deadline_ms=5000, delay=0.4)
+    assert result["equivalent"] is True
+    assert 4500 < slow_seen[0]["deadline_ms"] <= 5000
+    # The failover attempt carries what is left, not the original 5000 ms.
+    assert live_seen[0]["deadline_ms"] <= 5000 - 400
+
+
+def test_spent_budget_answers_deadline_exceeded_without_failing_over():
+    error, slow_seen, live_seen = _failover_check(deadline_ms=200, delay=0.5)
+    assert isinstance(error, protocol.ServiceError)
+    assert error.code == protocol.DEADLINE_EXCEEDED
+    assert len(slow_seen) == 1 and live_seen == []
+
+
+def test_minimize_aliases_share_one_artifact(tmp_path):
+    from repro.utils.serialization import to_dict
+
+    fsp = random_fsp(6, seed=11)
+
+    async def scenario():
+        def handler(op, params):
+            if op == "store":
+                return {"digest": content_digest(from_dict(params["process"]))}
+            return {"process": to_dict(fsp), "notion": params["notion"], "states_after": 6}
+
+        node = FakeNode(handler)
+        await node.start()
+        coordinator = ClusterCoordinator(
+            {"solo": ("127.0.0.1", node.port)}, store=ClusterStore(tmp_path)
+        )
+        try:
+            first = await coordinator.minimize({"process": {"digest": DIGEST_A}, "notion": "weak"})
+            second = await coordinator.minimize({"process": {"digest": DIGEST_A}})
+        finally:
+            await coordinator.stop()
+            await node.stop()
+        return first, second, [p for op, p in node.requests if op == "minimize"]
+
+    first, second, minimizes = asyncio.run(scenario())
+    assert [p["notion"] for p in minimizes] == ["observational"]
+    assert first["notion"] == second["notion"] == "observational"
+    assert second["from_artifact_cache"] is True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import doctest
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``pytest --doctest-modules`` over exactly this list).
 DOCTEST_MODULES = (
     "repro.engine",
+    "repro.engine.request",
     "repro.core.lts",
     "repro.core.weak",
     "repro.explore",
@@ -33,6 +35,23 @@ def test_module_doctests(module_name):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0, f"{module_name} promises runnable examples but has none"
     assert results.failed == 0
+
+
+def _documented_fields(op: str) -> set[str]:
+    """The field names in the params table of one op in the protocol doc."""
+    text = (ROOT / "docs" / "service-protocol.md").read_text(encoding="utf-8")
+    section = text.split(f"### `{op}`\n", 1)[1].split("\n### ", 1)[0]
+    table = section.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines()[1:]]
+    return {name for cell in rows for name in re.findall(r"`([a-z_]+)`", cell)}
+
+
+@pytest.mark.parametrize("op", ["check", "check_many"])
+def test_protocol_tables_match_the_request_declaration(op):
+    # Every declared field has a row, and no row documents an undeclared one.
+    from repro.engine.request import OPERATIONS
+
+    assert _documented_fields(op) == {field.name for field in OPERATIONS[op]}
 
 
 def _load_check_links():

@@ -154,8 +154,6 @@ class TestCheckMany:
         assert result.num_inequivalent == 10
 
     def test_paths_are_loaded_once_per_batch(self, engine, pair, tmp_path, monkeypatch):
-        import repro.engine.engine as engine_module
-
         first, second = pair
         left_path = tmp_path / "left.json"
         right_path = tmp_path / "right.json"
@@ -163,11 +161,6 @@ class TestCheckMany:
         serialization.dump(second, right_path)
         loads = []
         original = serialization.load_process_file
-        monkeypatch.setattr(
-            engine_module,
-            "_parse_check_spec",
-            engine_module._parse_check_spec,
-        )
         monkeypatch.setattr(
             serialization,
             "load_process_file",

@@ -282,6 +282,27 @@ class TestBatch:
         assert main(["batch", str(bad)]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"witness": True}, "'witness'"),
+            ({"deadline_ms": 100}, "'deadline_ms'"),
+            ({"left": 5}, "'left'"),
+            ({"right": ["a.json"]}, "'right'"),
+            ({"notion": "k-observational", "k": True}, "'k'"),
+            ({"notion": "language", "max_states": "lots"}, "'max_states'"),
+        ],
+    )
+    def test_bad_entry_names_its_index_and_field(self, tmp_path, stored_pair, capsys, entry, field):
+        first, _second = stored_pair
+        good = {"left": first, "right": first}
+        bad = tmp_path / "bad-entry.json"
+        bad.write_text(json.dumps([good, {**good, **entry}]), encoding="utf-8")
+        assert main(["batch", str(bad)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "check #1" in err and field in err
+        assert "Traceback" not in err
+
     def test_non_list_manifest_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"not": "a manifest"}), encoding="utf-8")
@@ -448,6 +469,21 @@ class TestProtocol:
         )
         assert main(["explore", "stats", str(out)]) == 0
         assert reachable in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"name": "two_phase_commit", "fualts": [{"kind": "crash", "role": "coordinator"}]},
+            {"name": "quorum_voting", "n": "x"},
+            {"name": "quorum_voting", "f": 1.5},
+            {"name": "two_phase_commit", "faults": [{"kind": "crash", "role": "r", "idx": 0}]},
+        ],
+    )
+    def test_malformed_scenario_document_is_an_input_error(self, tmp_path, capsys, document):
+        scenario = tmp_path / "typo.json"
+        scenario.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["protocol", "check", str(scenario), "--deadlock"]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_scenario_is_an_input_error(self, capsys):
         assert main(["protocol", "check", "three_phase_commit"]) == EXIT_ERROR

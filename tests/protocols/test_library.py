@@ -150,6 +150,26 @@ class TestDocuments:
             scenario.system, Crash("coordinator", 0)
         )
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"name": "two_phase_commit", "fualts": []}, "fualts"),
+            ({"name": "quorum_voting", "n": "5"}, "'n'"),
+            ({"name": "quorum_voting", "n": True}, "'n'"),
+            ({"name": "quorum_voting", "f": 1.0}, "'f'"),
+            ({"name": "two_phase_commit", "faults": {"kind": "crash"}}, "faults"),
+            ({"name": "ring_election", "faults": [{"kind": "crash", "role": "r", "x": 0}]}, "'x'"),
+            (
+                {"name": "ring_election", "faults": [{"kind": "crash", "role": "r", "index": "0"}]},
+                "index",
+            ),
+        ],
+    )
+    def test_documents_are_strict(self, document, message):
+        # A typo or a mistyped size must not silently check another system.
+        with pytest.raises(InvalidProcessError, match=message):
+            system_from_document(document)
+
     def test_unknown_side_is_rejected(self):
         with pytest.raises(InvalidProcessError, match="side"):
             system_from_document({"name": "two_phase_commit", "side": "oracle"})
