@@ -284,6 +284,70 @@ class LTS:
             extensions=extensions,
         )
 
+    def disjoint_union(self, other: "LTS", prefixes: tuple[str, str] = ("L:", "R:")) -> "LTS":
+        """Both kernels as one: state ``i`` of ``other`` becomes ``self.n + i``.
+
+        This is :meth:`repro.core.fsp.FSP.disjoint_union` at CSR level: the
+        arc arrays are concatenated (``other``'s targets shifted by
+        ``self.n``) and adopted through :meth:`from_csr`, state names get the
+        two ``prefixes``, and the start state is ``self``'s.  Only when the
+        two action tables differ (say, only one side has tau) are the arcs
+        re-interned and sorted again, into a table of the sorted observable
+        names followed by tau when either side has it.
+
+        >>> from repro.core.fsp import from_transitions
+        >>> left = LTS.from_fsp(from_transitions([("p", "a", "p")], start="p", alphabet={"a"}))
+        >>> right = LTS.from_fsp(
+        ...     from_transitions([("p", "tau", "q"), ("q", "a", "p")], start="p", alphabet={"a"})
+        ... )
+        >>> union = left.disjoint_union(right)
+        >>> union.state_names, union.action_names, union.start
+        (('L:p', 'R:p', 'R:q'), ('a', 'tau'), 0)
+        >>> [(union.state_names[s], union.action_names[a], union.state_names[t])
+        ...  for s, a, t in union.arcs()]
+        [('L:p', 'a', 'L:p'), ('R:p', 'tau', 'R:q'), ('R:q', 'a', 'R:p')]
+        """
+        from repro.core.fsp import TAU
+
+        state_names = [prefixes[0] + name for name in self.state_names]
+        state_names += [prefixes[1] + name for name in other.state_names]
+        if self.ext_sets is None and other.ext_sets is None:
+            ext_sets = None
+        else:
+            ext_sets = (self.ext_sets or (frozenset(),) * self.n) + (
+                other.ext_sets or (frozenset(),) * other.n
+            )
+        variables = tuple(sorted(set(self.variables) | set(other.variables)))
+        alphabets = [
+            lts.observable_alphabet for lts in (self, other) if lts.observable_alphabet is not None
+        ]
+        observable = tuple(sorted(set().union(*alphabets))) if alphabets else None
+        if other.action_names != self.action_names:
+            names = set(self.action_names) | set(other.action_names)
+            actions = sorted(names - {TAU}) + ([TAU] if TAU in names else [])
+            index = {name: i for i, name in enumerate(actions)}
+            edges = [(s, index[self.action_names[a]], t) for s, a, t in self.arcs()]
+            edges += [
+                (self.n + s, index[other.action_names[a]], self.n + t)
+                for s, a, t in other.arcs()
+            ]
+            return LTS(state_names, actions, edges, self.start, ext_sets, variables, observable)
+        offsets = array(INDEX_TYPECODE, self.fwd_offsets)
+        offsets.extend(len(self.fwd_targets) + offset for offset in other.fwd_offsets[1:])
+        targets = array(INDEX_TYPECODE, self.fwd_targets)
+        targets.extend(self.n + target for target in other.fwd_targets)
+        return LTS.from_csr(
+            state_names,
+            self.action_names,
+            offsets,
+            self.fwd_actions + other.fwd_actions,
+            targets,
+            start=self.start,
+            ext_sets=ext_sets,
+            variables=variables,
+            observable_alphabet=observable,
+        )
+
     # ------------------------------------------------------------------
     # structure queries
     # ------------------------------------------------------------------

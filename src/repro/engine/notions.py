@@ -7,8 +7,9 @@ replaces those dicts with a registry of :class:`Notion` objects.  A notion
 knows
 
 * how to *decide* equivalence of two cached :class:`~repro.engine.process.Process`
-  handles, reusing their artifacts (minimized quotients, language DFAs,
-  weak kernels) so repeated checks against the same process are cheap;
+  handles, reusing their artifacts (interned and saturated kernels,
+  observational quotients, language DFAs) so repeated checks against the
+  same process are cheap;
 * how to produce a checkable :class:`~repro.engine.verdict.Witness` on
   inequivalence;
 * which keyword parameters it accepts (``k``, solver ``method``, search
@@ -20,16 +21,26 @@ Third parties register additional notions with :func:`register_notion`; the
 CLI's ``--notion`` choices and the engine's dispatch both read the registry,
 so a registered notion is immediately usable everywhere.
 
-Soundness of the quotient fast paths: strong equivalence is decided on the
-disjoint union of the two *strong* quotients, observational / failure /
-``k``-observational equivalence on the union of the two *observational*
-quotients.  Each quotient is equivalent to its input (state-wise at the
-start), the notions are transitive, and observational equivalence refines
-both failure equivalence and every ``approx_k`` (``approx`` is the
-intersection of the decreasing ``approx_k`` chain; weak-bisimilar states
-have matching weak derivatives, hence equal refusal information), so the
-answer on the quotients equals the answer on the originals.  The property
-tests cross-check this against the direct reference routes on random
+Strong and observational checks compare the two start states as states of
+one process, as the paper does, built at kernel level: the disjoint union
+(:meth:`~repro.core.lts.LTS.disjoint_union`) of the two handles' cached
+kernels -- the plain CSR kernels for strong equivalence, the saturated
+kernels ``P_hat`` for observational equivalence.  No arc crosses the union,
+so saturating it would give the union of the two saturations: each side is
+saturated at most once per handle, and a warm side not at all.  One partition
+of the union decides the pair, and the HML witness is built along the
+refinement chain of the same union.
+
+Failure and ``k``-observational checks run on the union of the two
+*observational quotients* instead, because their subset constructions are
+exponential in the number of states and shrinking first pays off.  This is
+sound: each quotient is equivalent to its input (state-wise at the start),
+the notions are transitive, and observational equivalence refines both
+failure equivalence and every ``approx_k`` (``approx`` is the intersection
+of the decreasing ``approx_k`` chain; weak-bisimilar states have matching
+weak derivatives, hence equal refusal information), so the answer on the
+quotients equals the answer on the originals.  The property tests
+cross-check every notion against the direct reference routes on random
 processes.  Caller-supplied search bounds (``max_states`` and friends) are
 honoured by running the original, un-quotiented route, so bounded calls
 raise :class:`~repro.core.errors.StateSpaceLimitError` exactly as before.
@@ -43,15 +54,14 @@ from typing import Any
 
 from repro.core.classify import ModelClass, require
 from repro.core.fsp import FSP
+from repro.core.lts import LTS
 from repro.engine.process import Process
 from repro.engine.verdict import FormulaWitness, RefusalWitness, Witness, WordWitness
 from repro.equivalence.failure import failure_distinguishing_string, maximal_refusals
-from repro.equivalence.hml import distinguishing_formula
+from repro.equivalence.hml import distinguishing_formula, formula_size
 from repro.equivalence.kobs import k_observational_equivalent
 from repro.equivalence.language import language_nfa
-from repro.equivalence.observational import observationally_equivalent
-from repro.equivalence.strong import strongly_equivalent
-from repro.partition.generalized import Solver
+from repro.partition.generalized import GeneralizedPartitioningInstance, Solver, solve
 
 _LEFT = "L:"
 _RIGHT = "R:"
@@ -152,28 +162,7 @@ class StrongNotion(Notion):
         if require_observable:
             require(left.fsp, ModelClass.OBSERVABLE, context="strong equivalence")
             require(right.fsp, ModelClass.OBSERVABLE, context="strong equivalence")
-        left_min = left.minimized_strong(method, backend)
-        right_min = right.minimized_strong(method, backend)
-        combined = left_min.disjoint_union(right_min)
-        equivalent = strongly_equivalent(
-            combined,
-            _LEFT + left_min.start,
-            _RIGHT + right_min.start,
-            method=method,
-            backend=backend,
-        )
-        witness: Witness | None = None
-        if want_witness and not equivalent:
-            formula = distinguishing_formula(
-                combined, _LEFT + left_min.start, _RIGHT + right_min.start, weak=False
-            )
-            if formula is not None:  # always reachable on inequivalence
-                witness = FormulaWitness(formula, weak=False)
-        return NotionResult(
-            equivalent,
-            witness,
-            {"left_min_states": left_min.num_states, "right_min_states": right_min.num_states},
-        )
+        return _decide_on_union(left.lts(), right.lts(), method, backend, want_witness, weak=False)
 
 
 class ObservationalNotion(Notion):
@@ -192,28 +181,39 @@ class ObservationalNotion(Notion):
         method: Solver | str = Solver.PAIGE_TARJAN,
         backend: str = "auto",
     ) -> NotionResult:
-        left_min = left.minimized_observational(method, backend)
-        right_min = right.minimized_observational(method, backend)
-        combined = left_min.disjoint_union(right_min)
-        equivalent = observationally_equivalent(
-            combined,
-            _LEFT + left_min.start,
-            _RIGHT + right_min.start,
-            method=method,
-            backend=backend,
+        return _decide_on_union(
+            left.saturated_lts(backend),
+            right.saturated_lts(backend),
+            method,
+            backend,
+            want_witness,
+            weak=True,
         )
-        witness: Witness | None = None
-        if want_witness and not equivalent:
-            formula = distinguishing_formula(
-                combined, _LEFT + left_min.start, _RIGHT + right_min.start, weak=True
-            )
-            if formula is not None:  # always reachable on inequivalence
-                witness = FormulaWitness(formula, weak=True)
-        return NotionResult(
-            equivalent,
-            witness,
-            {"left_min_states": left_min.num_states, "right_min_states": right_min.num_states},
-        )
+
+
+def _decide_on_union(
+    left: LTS, right: LTS, method: Solver | str, backend: str, want_witness: bool, weak: bool
+) -> NotionResult:
+    """Decide the start states of two move kernels as states of their union.
+
+    One partition of the union answers the pair (Lemma 3.1 on the plain
+    kernels, Theorem 4.1(a) on the saturated ones); on inequivalence the
+    HML witness is built along the refinement chain of the same union.
+    """
+    union = left.disjoint_union(right)
+    first, second = left.start, left.n + right.start
+    instance = GeneralizedPartitioningInstance.from_lts(union)
+    partition = solve(instance, method=method, backend=backend)
+    names = union.state_names
+    equivalent = partition.same_block(names[first], names[second])
+    details: dict[str, Any] = {"union_states": union.n, "union_blocks": len(partition)}
+    witness: Witness | None = None
+    if want_witness and not equivalent:
+        formula = distinguishing_formula(union, first, second, weak=weak)
+        if formula is not None:  # always reachable on inequivalence
+            witness = FormulaWitness(formula, weak=weak)
+            details["witness_size"] = formula_size(formula)
+    return NotionResult(equivalent, witness, details)
 
 
 class KObservationalNotion(Notion):
@@ -369,12 +369,13 @@ class FailureNotion(Notion):
             return RefusalWitness(string, frozenset(), in_left=bool(left_macro))
         left_max = maximal_refusals(combined, left_macro, view)
         right_max = maximal_refusals(combined, right_macro, view)
-        for refusal in left_max:
-            if not any(refusal <= other for other in right_max):
-                return RefusalWitness(string, refusal, in_left=True)
-        for refusal in right_max:
-            if not any(refusal <= other for other in left_max):
-                return RefusalWitness(string, refusal, in_left=False)
+        for in_left, mine, theirs in ((True, left_max, right_max), (False, right_max, left_max)):
+            uncovered = [ref for ref in mine if not any(ref <= other for other in theirs)]
+            if uncovered:
+                # The least by (size, sorted names): no set iteration order
+                # (hence no hash seed) decides which refusal is reported.
+                refusal = min(uncovered, key=lambda ref: (len(ref), sorted(ref)))
+                return RefusalWitness(string, refusal, in_left=in_left)
         raise AssertionError(
             "distinguishing string does not separate the refusal information"
         )  # pragma: no cover - the search only returns separating strings

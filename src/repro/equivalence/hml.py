@@ -22,9 +22,12 @@ separation level.  The levels are the passes of the naive method of Lemma 3.2
 CSR :class:`~repro.core.lts.LTS` for strong equivalence (tau as a label), the
 saturated kernel ``P_hat`` of :func:`repro.core.weak.saturate_lts` for
 observational equivalence, where pass ``k`` is ``simeq_k`` (Definition
-2.2.2).  :func:`satisfies` checks formulas on the original FSP through
-:class:`~repro.core.derivatives.WeakTransitionView`, so the code that builds a
-witness and the code that checks it stay separate.
+2.2.2).  A caller that already holds that kernel (the engine's union kernel)
+passes it with integer state indices.  Answering states are taken one per
+block of the previous level and subformulas are memoised per pair, so a
+witness repeats no conjunct.  :func:`satisfies` checks formulas on the
+original FSP through :class:`~repro.core.derivatives.WeakTransitionView`, so
+the code that builds a witness and the code that checks it stay separate.
 """
 
 from __future__ import annotations
@@ -126,6 +129,15 @@ def modal_depth(formula: Formula) -> int:
     return 1 + modal_depth(formula.operand)
 
 
+def formula_size(formula: Formula) -> int:
+    """The number of nodes of the formula tree (a shared subformula counts per occurrence)."""
+    if isinstance(formula, (Tt, ExtensionIs)):
+        return 1
+    if isinstance(formula, And):
+        return 1 + sum(formula_size(operand) for operand in formula.operands)
+    return 1 + formula_size(formula.operand)
+
+
 # ----------------------------------------------------------------------
 # satisfaction
 # ----------------------------------------------------------------------
@@ -159,18 +171,30 @@ def satisfies(
 # ----------------------------------------------------------------------
 # distinguishing formulas
 # ----------------------------------------------------------------------
-def distinguishing_formula(fsp: FSP, first: str, second: str, weak: bool = False) -> Formula | None:
+def distinguishing_formula(
+    process: FSP | LTS, first: str | int, second: str | int, weak: bool = False
+) -> Formula | None:
     """A formula satisfied by ``first`` but not by ``second``, or None.
 
     ``weak=False`` distinguishes with respect to strong equivalence (tau
     treated as a label), ``weak=True`` with respect to observational
     equivalence (weak diamonds).  Returns None when the states are equivalent
     in the chosen sense, in which case no HML formula can separate them.
+
+    ``process`` is an FSP with ``first``/``second`` state names, or a move
+    kernel with integer state indices: an :class:`~repro.core.lts.LTS` whose
+    arcs are the moves of the chosen equivalence -- the plain kernel for
+    strong, the saturated kernel ``P_hat`` for weak -- such as the union
+    kernel the engine decides a pair on.
     """
-    lts = LTS.from_fsp(fsp, include_tau=True)
-    if weak:
-        lts = saturate_lts(lts)
-    left, right = _state_index(lts, first), _state_index(lts, second)
+    if isinstance(process, LTS):
+        lts = process
+        left, right = _checked_index(lts, first), _checked_index(lts, second)
+    else:
+        lts = LTS.from_fsp(process, include_tau=True)
+        if weak:
+            lts = saturate_lts(lts)
+        left, right = _state_index(lts, first), _state_index(lts, second)
     block_of, num_blocks = lts.extension_block_ids()
     passes = naive_passes(lts, RefinablePartition(block_of, num_blocks))
     levels = [block_of]
@@ -179,7 +203,7 @@ def distinguishing_formula(fsp: FSP, first: str, second: str, weak: bool = False
         if level is None:
             return None
         levels.append(level)
-    return _distinguish(lts, levels, left, right, weak)
+    return _distinguish(lts, levels, left, right, weak, {})
 
 
 def _state_index(lts: LTS, name: str) -> int:
@@ -189,18 +213,35 @@ def _state_index(lts: LTS, name: str) -> int:
         raise PartitionError(f"{name!r} is not an element of this partition") from None
 
 
-def _distinguish(lts: LTS, levels: list[list[int]], first: int, second: int, weak: bool) -> Formula:
+def _checked_index(lts: LTS, state: int) -> int:
+    if not 0 <= state < lts.n:
+        raise PartitionError(f"state index {state!r} out of range for {lts.n} states")
+    return state
+
+
+def _distinguish(
+    lts: LTS,
+    levels: list[list[int]],
+    first: int,
+    second: int,
+    weak: bool,
+    memo: dict[tuple[int, int], Formula],
+) -> Formula:
     """Build a formula separating the two states, of modal depth their separation level.
 
     ``levels[k]`` is the block array of level ``k`` of the refinement chain
     on ``lts`` (the saturated kernel when ``weak``), and the two states lie
     in different blocks of the last level.  An arc of ``lts`` is one move of
     the chosen equivalence; the epsilon arcs of the saturated kernel become
-    ``<<>>`` (``=>^epsilon``) modalities.
+    ``<<>>`` (``=>^epsilon``) modalities.  ``memo`` holds the formulas built
+    so far per pair (a pair fixes its separation level), so a subformula the
+    recursion meets twice is built once and shared.
     """
+    if (first, second) in memo:
+        return memo[first, second]
     level = next(k for k, blocks in enumerate(levels) if blocks[first] != blocks[second])
     if level == 0:
-        return ExtensionIs(lts.ext_sets[first])
+        return memo.setdefault((first, second), ExtensionIs(lts.ext_sets[first]))
     previous = levels[level - 1]
     offsets, arc_actions, arc_targets = lts.fwd_offsets, lts.fwd_actions, lts.fwd_targets
     # Try to find a move of `first` that `second` cannot match up to the
@@ -216,8 +257,17 @@ def _distinguish(lts: LTS, levels: list[list[int]], first: int, second: int, wea
             candidates = answers.get(arc_actions[i], [])
             if any(previous[target] == previous[candidate] for candidate in candidates):
                 continue
+            # Candidates in one block of the previous level satisfy the same
+            # formulas below that level: one conjunct per block excludes them
+            # all, at the same modal depth.
+            per_block: dict[int, int] = {}
+            for candidate in candidates:
+                per_block.setdefault(previous[candidate], candidate)
             conjuncts = tuple(
-                _distinguish(lts, levels, target, candidate, weak) for candidate in candidates
+                dict.fromkeys(
+                    _distinguish(lts, levels, target, candidate, weak, memo)
+                    for candidate in per_block.values()
+                )
             )
             operand: Formula = And(conjuncts) if conjuncts else Tt()
             action = lts.action_names[arc_actions[i]]
@@ -226,8 +276,7 @@ def _distinguish(lts: LTS, levels: list[list[int]], first: int, second: int, wea
                 if weak
                 else Diamond(action, operand)
             )
-            return Not(formula) if swap else formula
+            return memo.setdefault((first, second), Not(formula) if swap else formula)
     # Unreachable: states split by pass `level` have a move that the other
     # cannot match up to the previous level.
     raise AssertionError("states are not distinguishable at the requested level")
-

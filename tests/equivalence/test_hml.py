@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fsp import TAU, from_transitions
+from repro.core.lts import LTS
 from repro.core.paper_figures import fig2_language_pair
+from repro.core.weak import saturate_lts
+from repro.engine import Engine
 from repro.equivalence.hml import (
     And,
     Diamond,
@@ -14,11 +17,13 @@ from repro.equivalence.hml import (
     Tt,
     WeakDiamond,
     distinguishing_formula,
+    formula_size,
     modal_depth,
     satisfies,
 )
 from repro.equivalence.observational import observationally_equivalent_processes
 from repro.equivalence.strong import strongly_equivalent
+from repro.generators.random_fsp import perturb, random_equivalent_copy, random_fsp
 from repro.partition.partition import PartitionError
 
 
@@ -134,3 +139,42 @@ class TestDistinguishingFormulas:
     def test_unknown_state_is_rejected(self, branching_process, weak):
         with pytest.raises(PartitionError, match="nowhere"):
             distinguishing_formula(branching_process, "s", "nowhere", weak=weak)
+
+    def test_move_kernel_with_state_indices(self):
+        """A kernel of moves with integer indices gives the same formula as the FSP form."""
+        process = from_transitions(
+            [("p", TAU, "pm"), ("pm", "a", "p1"), ("q", "a", "q1")],
+            start="p",
+            all_accepting=True,
+        )
+        kernel = LTS.from_fsp(process, include_tau=True)
+        p, q = kernel.state_names.index("p"), kernel.state_names.index("q")
+        assert distinguishing_formula(kernel, p, q) == distinguishing_formula(process, "p", "q")
+        assert distinguishing_formula(saturate_lts(kernel), p, q, weak=True) is None
+        with pytest.raises(PartitionError, match="out of range"):
+            distinguishing_formula(kernel, p, kernel.n)
+
+
+def _repeated_conjuncts(formula) -> list:
+    """Every ``And`` node of ``formula`` that lists one operand twice."""
+    if isinstance(formula, And):
+        found = [formula] if len(set(formula.operands)) < len(formula.operands) else []
+        return found + [bad for operand in formula.operands for bad in _repeated_conjuncts(operand)]
+    if isinstance(formula, (Not, Diamond, WeakDiamond)):
+        return _repeated_conjuncts(formula.operand)
+    return []
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_witness_on_bloated_edited_copy_repeats_no_conjunct(weak):
+    """Duplicate answering states contribute one conjunct per previous-level block."""
+    left = random_fsp(12, seed=7)
+    right = perturb(random_equivalent_copy(left, duplicates=2, seed=7), seed=7)
+    notion = "observational" if weak else "strong"
+    verdict = Engine().check(left, right, notion, witness=True)
+    assert not verdict.equivalent and verdict.verify_witness()
+    combined = left.disjoint_union(right)
+    on_names = distinguishing_formula(combined, "L:" + left.start, "R:" + right.start, weak=weak)
+    for formula in (verdict.witness.formula, on_names):
+        assert _repeated_conjuncts(formula) == []
+    assert verdict.stats.details["witness_size"] == formula_size(verdict.witness.formula)
