@@ -295,17 +295,21 @@ class LTS:
         re-interned and sorted again, into a table of the sorted observable
         names followed by tau when either side has it.
 
-        >>> from repro.core.fsp import from_transitions
-        >>> left = LTS.from_fsp(from_transitions([("p", "a", "p")], start="p", alphabet={"a"}))
-        >>> right = LTS.from_fsp(
-        ...     from_transitions([("p", "tau", "q"), ("q", "a", "p")], start="p", alphabet={"a"})
+        >>> from repro.core.fsp import TAU, from_transitions
+        >>> left = LTS.from_fsp(
+        ...     from_transitions([("p", "b", "p"), ("p", TAU, "p")], start="p", alphabet={"b"})
         ... )
+        >>> right = LTS.from_fsp(
+        ...     from_transitions([("p", "a", "q"), ("q", "b", "p")], start="p", alphabet={"a", "b"})
+        ... )
+        >>> left.action_names, right.action_names
+        (('b', 'τ'), ('a', 'b'))
         >>> union = left.disjoint_union(right)
         >>> union.state_names, union.action_names, union.start
-        (('L:p', 'R:p', 'R:q'), ('a', 'tau'), 0)
+        (('L:p', 'R:p', 'R:q'), ('a', 'b', 'τ'), 0)
         >>> [(union.state_names[s], union.action_names[a], union.state_names[t])
         ...  for s, a, t in union.arcs()]
-        [('L:p', 'a', 'L:p'), ('R:p', 'tau', 'R:q'), ('R:q', 'a', 'R:p')]
+        [('L:p', 'b', 'L:p'), ('L:p', 'τ', 'L:p'), ('R:p', 'a', 'R:q'), ('R:q', 'b', 'R:p')]
         """
         from repro.core.fsp import TAU
 

@@ -25,6 +25,22 @@ class TestRoundTrip:
         process = random_observable_fsp(10, seed=seed)
         assert LTS.from_fsp(process, include_tau=False).to_fsp() == process
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_disjoint_union_is_the_kernel_of_the_fsp_union(self, seed):
+        # Even seeds leave tau out of the left side and multiples of 3 give the
+        # sides different alphabets, so the actions are re-interned; seeds 1
+        # and 5 have equal action tables and concatenate the CSR arrays.
+        left = random_fsp(10, tau_probability=0.3 if seed % 2 else 0.0, seed=seed)
+        alphabet = ("a", "c") if seed % 3 == 0 else ("a", "b")
+        right = random_fsp(8, alphabet=alphabet, tau_probability=0.3, seed=seed + 100)
+        union = LTS.from_fsp(left).disjoint_union(LTS.from_fsp(right))
+        expected = LTS.from_fsp(left.disjoint_union(right))
+        for attribute in ("state_names", "action_names", "start", "ext_sets", "variables"):
+            assert getattr(union, attribute) == getattr(expected, attribute)
+        for attribute in ("fwd_offsets", "fwd_actions", "fwd_targets"):
+            assert list(getattr(union, attribute)) == list(getattr(expected, attribute))
+        assert union.to_fsp() == left.disjoint_union(right)
+
     def test_round_trip_keeps_start_and_extensions(self, branching_process):
         back = LTS.from_fsp(branching_process).to_fsp()
         assert back.start == branching_process.start
