@@ -284,13 +284,13 @@ class LTS:
             extensions=extensions,
         )
 
-    def disjoint_union(self, other: "LTS", prefixes: tuple[str, str] = ("L:", "R:")) -> "LTS":
+    def disjoint_union(self, other: "LTS") -> "LTS":
         """Both kernels as one: state ``i`` of ``other`` becomes ``self.n + i``.
 
         This is :meth:`repro.core.fsp.FSP.disjoint_union` at CSR level: the
         arc arrays are concatenated (``other``'s targets shifted by
         ``self.n``) and adopted through :meth:`from_csr`, state names get the
-        two ``prefixes``, and the start state is ``self``'s.  Only when the
+        ``L:``/``R:`` prefixes, and the start state is ``self``'s.  Only when the
         two action tables differ (say, only one side has tau) are the arcs
         re-interned and sorted again, into a table of the sorted observable
         names followed by tau when either side has it.
@@ -313,8 +313,8 @@ class LTS:
         """
         from repro.core.fsp import TAU
 
-        state_names = [prefixes[0] + name for name in self.state_names]
-        state_names += [prefixes[1] + name for name in other.state_names]
+        state_names = ["L:" + name for name in self.state_names]
+        state_names += ["R:" + name for name in other.state_names]
         if self.ext_sets is None and other.ext_sets is None:
             ext_sets = None
         else:

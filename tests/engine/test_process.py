@@ -7,6 +7,7 @@ import pytest
 from repro.core.fsp import from_transitions
 from repro.core.paper_figures import fig2_language_pair
 from repro.engine import Engine, Process
+from repro.engine import process as process_module
 from repro.equivalence.minimize import minimize_observational, minimize_strong
 from repro.equivalence.observational import observational_partition
 from repro.equivalence.strong import strong_bisimulation_partition
@@ -65,16 +66,27 @@ class TestArtifactCaching:
             Solver.PAIGE_TARJAN
         )
 
-    def test_notions_share_one_observational_quotient(self, bloated, monkeypatch):
+    def test_notions_share_one_saturated_kernel(self, bloated, monkeypatch):
         # With the threshold below the process size the notions' "auto"
-        # resolves to the vector backend; the handle's own defaults must land
-        # in the same cache slot instead of computing the quotient again.
+        # resolves to the vector backend; the observational check's union and
+        # k-observational's quotient must read the same cached saturation
+        # instead of saturating the handle again.
         monkeypatch.setattr(generalized, "VECTOR_STATE_THRESHOLD", 2)
         engine = Engine()
         handle = engine.process(bloated)
         other = from_transitions([("q", "a", "r"), ("r", "b", "q")], start="q", all_accepting=True)
+        saturated = []
+        real_saturate = process_module.saturate_lts
+
+        def spy(lts, *args, **kwargs):
+            if lts is handle.lts():
+                saturated.append(kwargs.get("backend"))
+            return real_saturate(lts, *args, **kwargs)
+
+        monkeypatch.setattr(process_module, "saturate_lts", spy)
         engine.check(handle, other, "observational")
         engine.check(handle, other, "k-observational", k=2)
+        assert saturated == ["vector"]
         assert handle.artifact_summary()["minimized_observational"] == 1
 
 
